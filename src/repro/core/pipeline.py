@@ -173,22 +173,45 @@ def _fallback_result(prog: Program, model: MachineModel,
     return result
 
 
+def collect_profile(prog: Program,
+                    heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
+                    max_steps: int = 20_000_000,
+                    backend: str = "reference") -> ProfileDB | PassFailure:
+    """The profiling run of :func:`compile_proposed`, on its own.
+
+    Returns the :class:`ProfileDB`, or -- when the run raises -- the
+    :class:`PassFailure` the compile records for it.  Either one can be
+    passed as ``compile_proposed(profile=...)``, so compiles that share
+    (program, ``heur.classify``, *max_steps*, *backend*) can share one
+    run, failure included.
+    """
+    try:
+        with obs_span("pass.profile", program=prog.name):
+            return ProfileDB.from_run(prog, max_steps=max_steps,
+                                      config=heur.classify, backend=backend)
+    except Exception as exc:  # noqa: BLE001
+        return PassFailure(stage="profile", kind="exception",
+                           reason=f"{type(exc).__name__}: {exc}")
+
+
 def compile_proposed(prog: Program,
                      heur: FeedbackHeuristics = DEFAULT_HEURISTICS,
                      model: MachineModel = DEFAULT_MODEL,
-                     profile: Optional[ProfileDB] = None,
+                     profile: ProfileDB | PassFailure | None = None,
                      max_steps: int = 20_000_000,
                      verify: bool = True,
                      backend: str = "reference") -> CompileResult:
     """The paper's proposed scheme, end to end, with crash containment.
 
     Pass a pre-built *profile* to skip the profiling run (e.g. to reuse one
-    run across ablation variants).  *verify* runs the IR verifier after
-    every pass (rolling back passes that break an invariant); disable it
-    only for trusted perf-measurement loops.  *backend* selects the
-    execution backend of the profiling run (``"fast"`` uses the
-    :mod:`repro.fastsim` generated-step executor; the profile — and
-    therefore the compile output — is byte-identical either way).
+    run across ablation variants); a :class:`PassFailure` from
+    :func:`collect_profile` replays that run's failure.  *verify* runs the
+    IR verifier after every pass (rolling back passes that break an
+    invariant); disable it only for trusted perf-measurement loops.
+    *backend* selects the execution backend of the profiling run
+    (``"fast"`` uses the :mod:`repro.fastsim` generated-step executor;
+    the profile — and therefore the compile output — is byte-identical
+    either way).
     """
     with obs_span("compile.proposed", program=prog.name) as sp:
         result = _compile_proposed_inner(prog, heur, model, profile,
@@ -215,7 +238,7 @@ def compile_proposed(prog: Program,
 
 def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
                             model: MachineModel,
-                            profile: Optional[ProfileDB],
+                            profile: ProfileDB | PassFailure | None,
                             max_steps: int, verify: bool,
                             backend: str = "reference") -> CompileResult:
     result = CompileResult(program=prog)
@@ -223,16 +246,10 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
     # 0. Profiling run.  Without feedback there is nothing to propose:
     #    degrade straight to the baseline schedule.
     if profile is None:
-        try:
-            with obs_span("pass.profile", program=prog.name):
-                profile = ProfileDB.from_run(prog, max_steps=max_steps,
-                                             config=heur.classify,
-                                             backend=backend)
-        except Exception as exc:  # noqa: BLE001
-            result.failures.append(PassFailure(
-                stage="profile", kind="exception",
-                reason=f"{type(exc).__name__}: {exc}"))
-            return _fallback_result(prog, model, result)
+        profile = collect_profile(prog, heur, max_steps, backend)
+    if isinstance(profile, PassFailure):
+        result.failures.append(profile)
+        return _fallback_result(prog, model, result)
     result.profile = profile
 
     try:

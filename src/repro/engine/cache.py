@@ -18,7 +18,11 @@ reported as a miss, never an error.
 Eviction is size-capped LRU: whenever a put pushes the store above
 ``max_bytes`` (default 256 MB, override ``REPRO_CACHE_MAX_MB``), the
 oldest entries by access time are deleted until the store fits.  Reads
-refresh an entry's timestamp, so hot cells survive.
+refresh an entry's timestamp, so hot cells survive.  A put does not
+rescan the store: a running byte total, seeded by one scan at the first
+put and adjusted by every write, decides when the cap is crossed, and
+only then is the store rescanned (which also folds in what other
+processes wrote or deleted meanwhile) and evicted.
 
 The store is safe under concurrent multi-process mutation (the
 :mod:`repro.serve` worker fleet shares one on-disk root): every
@@ -90,6 +94,8 @@ class ArtifactCache:
                          else DEFAULT_MAX_BYTES)
         self.max_bytes = max_bytes
         self.counters = CacheCounters()
+        #: running size of the store in bytes (None until the first scan)
+        self._total: Optional[int] = None
 
     # -- paths -------------------------------------------------------------
 
@@ -144,6 +150,10 @@ class ArtifactCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         body = json.dumps({"schema": SCHEMA_VERSION, "key": key,
                            "payload": payload})
+        try:
+            replaced = path.stat().st_size
+        except OSError:
+            replaced = 0
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -154,7 +164,12 @@ class ArtifactCache:
             return
         self.counters.puts += 1
         REGISTRY.inc("engine.cache.puts")
-        self._evict(keep=path)
+        # json.dumps escapes to ASCII: one byte per character
+        grown = len(body) - replaced
+        if self._total is None or self._total + grown > self.max_bytes:
+            self._evict(keep=path)
+        else:
+            self._total += grown
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -162,6 +177,7 @@ class ArtifactCache:
         for p in self._entry_files():
             self._discard(p)
             removed += 1
+        self._total = None
         return removed
 
     # -- maintenance -------------------------------------------------------
@@ -173,10 +189,11 @@ class ArtifactCache:
             pass
 
     def _evict(self, keep: Optional[Path] = None) -> None:
-        """LRU-evict until total size fits ``max_bytes``.
+        """Rescan the store and LRU-evict until it fits ``max_bytes``.
 
         The entry just written (*keep*) is exempt, so a single oversized
-        artifact cannot evict itself into a livelock.
+        artifact cannot evict itself into a livelock.  Resets the running
+        byte total to what the scan left on disk.
         """
         files = self._entry_files()
         sizes: dict[Path, int] = {}
@@ -189,18 +206,17 @@ class ArtifactCache:
             sizes[p] = st.st_size
             ages[p] = st.st_mtime
         total = sum(sizes.values())
-        if total <= self.max_bytes:
-            return
-        by_age = sorted(sizes, key=lambda p: ages[p])
-        for p in by_age:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and p == keep:
-                continue
-            total -= sizes[p]
-            self._discard(p)
-            self.counters.evictions += 1
-            REGISTRY.inc("engine.cache.evictions")
+        if total > self.max_bytes:
+            for p in sorted(sizes, key=lambda p: ages[p]):
+                if total <= self.max_bytes:
+                    break
+                if keep is not None and p == keep:
+                    continue
+                total -= sizes[p]
+                self._discard(p)
+                self.counters.evictions += 1
+                REGISTRY.inc("engine.cache.evictions")
+        self._total = total
 
     # -- reporting ---------------------------------------------------------
 

@@ -32,7 +32,8 @@ from typing import Optional
 
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import CompileResult, compile_baseline, compile_proposed
+from ..core.pipeline import (CompileResult, collect_profile,
+                             compile_baseline, compile_proposed)
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
 from ..obs.pipeline_obs import maybe_observer
@@ -108,29 +109,41 @@ def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
     return tuple(sorted((config_overrides or {}).items()))
 
 
-def counted_compile(kind: str, prog: Program, heur: FeedbackHeuristics,
-                    max_steps: int,
-                    backend: str = "reference") -> CompileResult:
-    """Compile *prog* for a pipeline *kind*, incrementing the counter.
+def kind_heuristics(kind: str,
+                    heur: FeedbackHeuristics) -> FeedbackHeuristics:
+    """The heuristics a proposed-pipeline *kind* compiles with.
 
     Kind ``"safe"`` is the proposed pipeline with the speculative-safety
     guard forced on (the safe-speculative scheme); kind ``"meld"`` forces
-    branch melding in place of if-conversion (the melded scheme).  Each
-    shares nothing with the ``"prop"`` compile memo because the toggle
-    changes the emitted code.  ``backend="fast"`` runs the profiling pass
-    of proposed-pipeline compiles on the generated-step executor
-    (byte-identical profiles).
+    branch melding in place of if-conversion (the melded scheme).  Neither
+    toggle touches ``heur.classify``, so all three kinds can share one
+    profiling run.
+    """
+    if kind == "safe":
+        return replace(heur, spectre_safe=True)
+    if kind == "meld":
+        return replace(heur, enable_meld=True)
+    return heur
+
+
+def counted_compile(kind: str, prog: Program, heur: FeedbackHeuristics,
+                    max_steps: int, backend: str = "reference",
+                    profile=None) -> CompileResult:
+    """Compile *prog* for a pipeline *kind*, incrementing the counter.
+
+    Each kind shares nothing with the ``"prop"`` compile memo because its
+    toggle (:func:`kind_heuristics`) changes the emitted code.
+    ``backend="fast"`` runs the profiling pass of proposed-pipeline
+    compiles on the generated-step executor (byte-identical profiles);
+    *profile* (see :func:`~repro.core.pipeline.collect_profile`) skips it.
     """
     COUNTERS.compiles += 1
     REGISTRY.inc("engine.compiles")
     if kind == "base":
         return compile_baseline(prog)
-    if kind == "safe":
-        heur = replace(heur, spectre_safe=True)
-    elif kind == "meld":
-        heur = replace(heur, enable_meld=True)
-    return compile_proposed(prog, heur=heur, max_steps=max_steps,
-                            backend=backend)
+    return compile_proposed(prog, heur=kind_heuristics(kind, heur),
+                            max_steps=max_steps, backend=backend,
+                            profile=profile)
 
 
 def counted_simulate(prog: Program, config: MachineConfig,
@@ -252,8 +265,9 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
     *program* short-circuits payload deserialization when the caller
     already holds the Program (in-process fast path).  *compile_memo*
     shares successful compiles across the cells of one benchmark (the
-    2bitBP and PerfectBP columns reuse the same baseline compile), exactly
-    as the serial runner does; failed compiles are retried per cell.
+    2bitBP and PerfectBP columns reuse the same baseline compile), and
+    one profiling run across its proposed-pipeline kinds, exactly as the
+    serial runner does; failed compiles are retried per cell.
 
     With ``spec.strict`` the first exception propagates; otherwise the
     cell is retried once and then recorded as a failure payload.
@@ -273,9 +287,18 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                     bk = {"backend": spec.backend} \
                         if spec.backend != "reference" else {}
                     if spec.kind not in memo:
+                        shared = {}
+                        if spec.kind != "base":
+                            pkey = ("profile", spec.heur.classify,
+                                    spec.max_steps, spec.backend)
+                            if pkey not in memo:
+                                memo[pkey] = collect_profile(
+                                    prog, spec.heur, spec.max_steps,
+                                    spec.backend)
+                            shared["profile"] = memo[pkey]
                         memo[spec.kind] = counted_compile(
                             spec.kind, prog, spec.heur, spec.max_steps,
-                            **bk)
+                            **bk, **shared)
                     cr = memo[spec.kind]
                     stats, exec_stats = counted_simulate(
                         cr.program, spec.resolve_config(), spec.max_steps,

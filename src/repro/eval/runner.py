@@ -29,14 +29,15 @@ so monkeypatched fault injection keeps working.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .._deprecation import deprecated
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import CompileResult, compile_baseline, compile_proposed
-from ..engine.cells import COUNTERS
+from ..core.pipeline import (CompileResult, collect_profile,
+                             compile_baseline, compile_proposed)
+from ..engine.cells import COUNTERS, kind_heuristics
 from ..isa.program import Program
 from ..obs.pipeline_obs import maybe_observer
 from ..obs.trace import span as obs_span
@@ -217,27 +218,25 @@ def run_benchmark_impl(name: str, prog: Program,
     overrides = config_overrides or {}
     run = BenchmarkRun(name=name)
 
-    # Compiles are shared across cells; a failed compile fails only the
-    # cells that need its output.
+    # Compiles are shared across cells, and the proposed-pipeline kinds
+    # share one profiling run (failure included); a failed compile fails
+    # only the cells that need its output.
     compiles: dict[str, Optional[CompileResult]] = {}
+    profiles: dict = {}     # heur.classify -> collect_profile() result
 
     def _compiled(kind: str) -> CompileResult:
         if kind not in compiles:
             COUNTERS.compiles += 1
             if kind == "base":
                 compiles[kind] = compile_baseline(prog)
-            elif kind == "safe":
-                compiles[kind] = compile_proposed(
-                    prog, heur=replace(heur, spectre_safe=True),
-                    max_steps=max_steps, backend=backend)
-            elif kind == "meld":
-                compiles[kind] = compile_proposed(
-                    prog, heur=replace(heur, enable_meld=True),
-                    max_steps=max_steps, backend=backend)
             else:
-                compiles[kind] = compile_proposed(prog, heur=heur,
-                                                  max_steps=max_steps,
-                                                  backend=backend)
+                if heur.classify not in profiles:
+                    profiles[heur.classify] = collect_profile(
+                        prog, heur, max_steps, backend)
+                compiles[kind] = compile_proposed(
+                    prog, heur=kind_heuristics(kind, heur),
+                    max_steps=max_steps, backend=backend,
+                    profile=profiles[heur.classify])
         return compiles[kind]
 
     def _cell(scheme: str, kind: str, predictor: str) -> SchemeResult:

@@ -18,10 +18,11 @@ This package adds a second, *semantically identical* execution path:
 * :mod:`repro.fastsim.functional` — :class:`FastFunctionalSim`, the
   generated-step functional executor producing the same
   :class:`~repro.sim.functional.ExecStats` and a batched trace stream;
-* :mod:`repro.fastsim.timing` — :class:`FastTimingSim`, a batched-event
-  restructuring of the per-cycle loop that skips cycles with no pipeline
-  activity (mispredict recovery, fence drains, icache refills, the final
-  ROB drain);
+* :mod:`repro.fastsim.timing` — :class:`FastTimingSim`, the Python
+  front end of a native (C, cffi-built) batched-event cycle loop that skips cycles
+  with no pipeline activity (mispredict recovery, fence drains, icache
+  refills, the final ROB drain); :mod:`repro.fastsim.native` builds the
+  kernel on first use and caches it per user;
 * :mod:`repro.fastsim.backend` — backend selection (``"reference"`` /
   ``"fast"``, ``REPRO_BACKEND`` env var) and the contained entry point
   used by :mod:`repro.engine.cells`: internal fastsim faults fall back

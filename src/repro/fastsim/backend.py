@@ -5,7 +5,7 @@ Two execution backends exist for every cell:
 * ``"reference"`` — the readable interpreters in :mod:`repro.sim`
   (the default, and the arbiter of correctness);
 * ``"fast"`` — :mod:`repro.fastsim`'s decode-once + generated-step
-  functional executor feeding the batched-event timing model.
+  functional executor feeding the native batched-event timing kernel.
 
 Selection is per-run: the ``backend=`` parameter on
 :class:`repro.api.Session` / ``run_suite`` / ``execute_cell``, the
@@ -22,13 +22,14 @@ Containment contract of :func:`simulate` (the entry point
   conversion errors — propagate unchanged: both backends fail a cell
   with the same exception, so a FAIL(...) cell payload is
   backend-independent.
-* **Fastsim-internal failures** — decode rejection, codegen syntax
-  errors (e.g. the ``fastsim-bad-codegen`` fault), stale decode tables,
-  or an unexpected crash inside generated code — are *not* the
-  program's fault: the run transparently restarts on the reference
-  backend (deterministic, so a semantic failure would reproduce there)
-  and the decision is recorded on :func:`fallback_trail` plus the
-  ``fastsim.fallbacks`` metric.
+* **Fastsim-internal failures** — decode rejection, a native timing
+  kernel that cannot be built or loaded (no C compiler, no cffi),
+  codegen syntax errors (e.g. the ``fastsim-bad-codegen`` fault), stale
+  decode tables, or an unexpected crash inside generated code — are
+  *not* the program's fault: the run transparently restarts on the
+  reference backend (deterministic, so a semantic failure would
+  reproduce there) and the decision is recorded on
+  :func:`fallback_trail` plus the ``fastsim.fallbacks`` metric.
 
 Observer-instrumented runs (``repro.obs`` pipeline observer) always use
 the reference pipeline — the observer hooks the reference cycle loop.
@@ -52,6 +53,7 @@ from ..sim.stats import SimStats
 from .codegen import get_compiled
 from .decode import decode_program
 from .functional import FastFunctionalSim
+from .native import NativeBuildError, kernel
 from .timing import FastTimingSim
 
 #: Valid backend identifiers, in documentation order.
@@ -77,7 +79,8 @@ class FastsimError(RuntimeError):
 class FallbackRecord:
     """One fast→reference fallback decision."""
 
-    stage: str     # "decode" | "codegen" | "execute" | "observer"
+    #: "observer" | "decode" | "native-build" | "codegen" | "execute"
+    stage: str
     reason: str    # one-line classification
 
 
@@ -142,6 +145,12 @@ def simulate(prog: Program, config: MachineConfig,
         _fallback("decode", _short(exc))
         return _reference_simulate(prog, config, max_steps)
     try:
+        kernel()
+    except NativeBuildError as exc:
+        _fallback("native-build", _short(exc))
+        return _reference_simulate(prog, config, max_steps)
+    try:
+        dec.check_stale(prog)
         get_compiled(dec, record=False, trace=True)
         fsim = FastFunctionalSim(prog, max_steps=max_steps,
                                  record_outcomes=False, decoded=dec)

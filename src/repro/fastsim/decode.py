@@ -9,12 +9,12 @@ indexed by PC — shared by both fast simulators:
 * the functional codegen (:mod:`repro.fastsim.codegen`) consumes the
   block index and per-PC operands to emit one Python function per basic
   block;
-* the fast timing model (:mod:`repro.fastsim.timing`) consumes the
-  pre-resolved queue/unit/latency/dependence tables so its per-cycle
-  loop touches only ints and tuples.
+* the fast timing model (:mod:`repro.fastsim.timing`) packs the
+  pre-resolved queue/unit/latency/dependence tables into flat integer
+  arrays for the native kernel.
 
 Registers are mapped into one flat id space so the timing model's rename
-and dependence state can live in a single 72-slot list::
+and dependence state can live in a single 72-slot table::
 
     r0..r31 -> 0..31      f0..f31 -> 32..63      cc0..cc7 -> 64..71
 
@@ -29,12 +29,16 @@ Decoded tables are cached per program *identity* (``id`` + weakref, the
 Program dataclass is unhashable) and carry a staleness signature
 (instruction count + label layout) so a table decoded from a program
 that was later mutated in place is rejected instead of mis-executed —
-see ``fastsim-stale-block-index`` in :mod:`repro.fastsim.faults`.
+see ``fastsim-stale-block-index`` in :mod:`repro.fastsim.faults`.  The
+tables refer to their program weakly too, so the cache never keeps a
+program (or the generated code and timing tables hanging off its
+decode) alive.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,6 +55,7 @@ F_MEM = 32         # load or store
 F_HALT = 64
 F_UNMODELED = 128  # Unit.NONE op the timing model does not admit
 F_GUARDED = 256
+F_BTB = 512        # may hold a branch target buffer entry (has_btb_entry)
 
 #: Reservation-queue ids, mirroring ``pipeline._QUEUE_OF_UNIT`` order.
 QUEUE_NAMES = ("alu", "ldst", "fp", "br")
@@ -104,7 +109,8 @@ def reg_id(name: str) -> int:
 class DecodedProgram:
     """Dense per-PC operand tables + basic-block index for one program."""
 
-    prog: Program
+    #: weak reference to the decoded program (see :attr:`prog`)
+    prog_ref: weakref.ref
     n: int
     #: staleness signature: (len(instructions), sorted label layout)
     nlabels: int
@@ -125,8 +131,14 @@ class DecodedProgram:
     targets_map: dict = field(default_factory=dict)
     #: compiled codegen variants, keyed (record_outcomes, trace)
     _compiled: dict = field(default_factory=dict, repr=False)
-    #: timing metadata per machine config, keyed (cache_line, latencies)
-    _timing_meta: dict = field(default_factory=dict, repr=False)
+    #: packed timing tables per machine config, keyed (cache_line,
+    #: latencies)
+    _timing_tables: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def prog(self) -> Optional[Program]:
+        """The decoded program, or None once it has been collected."""
+        return self.prog_ref()
 
     def check_stale(self, prog: Program) -> None:
         """Reject tables decoded from a since-mutated program."""
@@ -139,25 +151,31 @@ class DecodedProgram:
                 f"{self.n} decoded instructions / {self.nlabels} labels vs "
                 f"{len(prog.instructions)} / {len(prog.labels)} now")
 
-    def timing_meta(self, cfg) -> tuple:
-        """Per-config tables for the timing loop.
+    def timing_tables(self, cfg) -> tuple:
+        """Per-config tables for the native timing kernel.
 
-        Returns ``(lats, dmeta)``: resolved latency per PC, and one
-        dispatch tuple per PC — ``(flags, icache line, queue id, rename
-        class, unit id, def id, use ids)`` — so dispatch does a single
-        indexed load + unpack instead of seven table lookups.
+        Returns ``(meta, uses)``, two ``array('i')``: one nine-int record
+        per PC (``M_*`` in ``timing_kernel.c``) -- flags (including
+        ``F_LIKELY`` and ``F_BTB``), icache line, queue id, rename class,
+        unit id, def id, resolved latency, and the offset and count of
+        its use ids -- and the flattened use ids.
         """
         key = (cfg.cache_line, cfg.latencies)
-        hit = self._timing_meta.get(key)
+        hit = self._timing_tables.get(key)
         if hit is None:
             shift = cfg.cache_line.bit_length() - 1
-            lats = [cfg.latencies.of_class(c) for c in self.lat_classes]
-            dmeta = [
-                (self.flags[pc], (pc * 4) >> shift, self.queue_ids[pc],
-                 self.rename_ids[pc], self.unit_ids[pc], self.def_ids[pc],
-                 self.use_ids[pc])
-                for pc in range(self.n)]
-            hit = self._timing_meta[key] = (lats, dmeta)
+            meta = array("i")
+            uses = array("i")
+            for pc in range(self.n):
+                ids = self.use_ids[pc]
+                meta.extend((
+                    self.flags[pc], (pc * 4) >> shift, self.queue_ids[pc],
+                    self.rename_ids[pc], self.unit_ids[pc],
+                    self.def_ids[pc],
+                    cfg.latencies.of_class(self.lat_classes[pc]),
+                    len(uses), len(ids)))
+                uses.extend(ids)
+            hit = self._timing_tables[key] = (meta, uses)
         return hit
 
 
@@ -179,6 +197,8 @@ def _decode(prog: Program) -> DecodedProgram:
             fl |= F_BRANCH
             if info.is_likely:
                 fl |= F_LIKELY
+        if info.has_btb_entry:
+            fl |= F_BTB
         if info.is_jump:
             fl |= F_JUMP
             if op in ("jr", "jalr"):
@@ -234,7 +254,7 @@ def _decode(prog: Program) -> DecodedProgram:
         blocks.append((start, bounds[bid + 1]))
         block_at[start] = bid
     return DecodedProgram(
-        prog=prog, n=n, nlabels=len(prog.labels),
+        prog_ref=weakref.ref(prog), n=n, nlabels=len(prog.labels),
         labels_sig=tuple(sorted(prog.labels.items())),
         ops=ops, flags=flags, targets=targets,
         queue_ids=queue_ids, unit_ids=unit_ids, lat_classes=lat_classes,
@@ -244,9 +264,10 @@ def _decode(prog: Program) -> DecodedProgram:
 
 
 #: id -> (weakref to program, decoded tables).  Keyed by identity because
-#: the Program dataclass defines __eq__ without __hash__; the weakref
-#: callback evicts the slot when the program is collected, so a recycled
-#: id can never alias a dead program's tables.
+#: the Program dataclass defines __eq__ without __hash__.  Nothing in a
+#: slot refers to its program strongly, so the weakref callback evicts
+#: the slot when the program is collected, and a recycled id can never
+#: alias a dead program's tables.
 _DECODE_CACHE: dict = {}
 
 

@@ -1,47 +1,37 @@
-"""FastTimingSim: batched-event restructuring of the cycle model.
+"""FastTimingSim: the native batched-event cycle model.
 
 Cycle-for-cycle equivalent to :class:`repro.sim.pipeline.TimingSim`
 (default configuration: ``model_wrong_path=False``, no observer), fed by
 the batch stream of :meth:`FastFunctionalSim.batches` instead of one
 ``TraceEntry`` object per dynamic instruction.
 
-What makes it fast while staying exact:
+The cycle loop itself is C (``timing_kernel.c``, built and cached by
+:mod:`repro.fastsim.native` on the first :meth:`FastTimingSim.run`):
+event-bucket issue in age order with unit caps, dispatch with inline
+I/D-cache LRU lookups, span skipping over fetch-gated cycles, and all
+four :func:`~repro.sim.branch_pred.make_predictor` schemes.  This module
+is its Python front end:
 
-* **Dense entries.**  In-flight instructions are 12-slot lists (complete,
-  pc, annulled, addr, unit-id, rename-class, pending-dep count, ready-at
-  cycle, waiter list, def-id, age, queue-id) built from the decode-once
-  tables — no ``Instruction`` inspection, no string keys, in the
-  per-cycle loop.
-* **Event-bucket issue.**  The reference re-scans every queued entry
-  each cycle (``_Entry.ready``).  Here an entry is filed, exactly once,
-  under the cycle it becomes issuable: at dispatch if its producers are
-  done, else the moment its last producer issues (which fixes the max
-  completion cycle).  Each cycle pops its bucket, orders candidates by
-  age — per-queue age order is what the reference scan sees, and every
-  functional unit is fed by exactly one queue, so global age order
-  decides identically — and applies unit caps; cap-blocked entries carry
-  over and retry like a re-scan would.  No entry is visited while it
-  waits on a dependence.
-* **Span skipping.**  Whenever fetch is gated (mispredict recovery,
-  fence drain, icache refill) or the trace is exhausted, nothing happens
-  between events: the loop jumps straight to the next one — gate
-  reopening, bucket cycle, or head-of-ROB completion — bulk-adding the
-  per-cycle stall and queue-full counters for the skipped span.
-  Mispredict-heavy schemes spend most of their cycles in these gaps.
+* it packs the decoded program's timing tables once per (program,
+  timing key) -- :meth:`DecodedProgram.timing_tables`;
+* it hands each ``(idxs, brs, mems, anns)`` batch to the kernel as
+  ``array`` buffers whenever the kernel suspends for more trace, which
+  is exactly where the reference model pulls its next trace entry, so a
+  functional-side exception (step budget, divergence) surfaces at the
+  same point relative to the timing side's ``UnmodeledOpcode``;
+* it turns the kernel's status codes into the reference's exceptions and
+  writes its counters back into ``SimStats``, the predictor's
+  ``PredictorStats`` and the I/D ``Cache.stats``.
 
-The branch predictor and the I/D cache models are the *real* objects
-from ``repro.sim`` — their stats land in ``SimStats`` byte-identical by
-construction.  (Within one cycle every data-cache access comes from the
-load/store queue, so age ordering preserves the reference's access
-order and therefore LRU state.)  Wrong-path modeling and observer hooks
-are not supported here; :func:`repro.fastsim.backend.simulate` falls
-back to the reference for those runs.
+Wrong-path modeling and observer hooks are not supported here;
+:func:`repro.fastsim.backend.simulate` falls back to the reference for
+those runs.  When the kernel cannot be built, :meth:`run` raises
+:class:`~repro.fastsim.native.NativeBuildError`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from operator import itemgetter
+from array import array
 from typing import Iterable, Optional
 
 from ..sim.branch_pred import make_predictor
@@ -49,20 +39,30 @@ from ..sim.cache import Cache
 from ..sim.config import MachineConfig, R10K
 from ..sim.functional import UnmodeledOpcode
 from ..sim.stats import SimStats
+from . import native
 from .decode import QUEUE_NAMES, UNIT_NAMES, DecodedProgram
 
-# _Entry slots (plain lists; attribute access is too slow here):
-# [0] complete cycle (None until issued)     [6] pending producer count
-# [1] pc                                     [7] ready-at cycle
-# [2] annulled                               [8] waiter list (lazy)
-# [3] dcache address (-1 none)               [9] def reg id (-1 none)
-# [4] unit id 0..6                           [10] age (dispatch order)
-# [5] rename class 0/1/2                     [11] queue id 0..3
+# tk_run() status codes (TK_* in timing_kernel.c).
+_DONE, _NEED_BATCH, _UNMODELED, _NO_CONVERGE, _BTB_EMPTY = range(5)
 
-_AGE = itemgetter(10)
+_PREDICTOR_ID = {"twobit": 0, "twolevel": 1, "perfect": 2,
+                 "static-taken": 3}
 
-#: Sentinel "no bound" cycle for the span-skip jump target.
-_NEVER = 1 << 62
+# Result vector layout (R_* in timing_kernel.c).
+_SIM_FIELDS = ("cycles", "committed", "annulled", "fetch_stall_cycles",
+               "icache_stall_cycles", "mispredict_events",
+               "indirect_stall_events", "fence_stall_cycles",
+               "fence_events")
+_R_QFULL = len(_SIM_FIELDS)
+_R_UFULL = _R_QFULL + len(QUEUE_NAMES)
+_R_UISSUES = _R_UFULL + len(UNIT_NAMES)
+_R_CACHES = _R_UISSUES + len(UNIT_NAMES)
+_R_PREDICTOR = _R_CACHES + 4
+_PREDICTOR_FIELDS = ("conditional", "correct", "mispredicted",
+                     "likely_branches", "likely_correct", "btb_misses",
+                     "indirect_stalls")
+_R_ERROR_PC = _R_PREDICTOR + len(_PREDICTOR_FIELDS)
+_NRESULTS = _R_ERROR_PC + 1
 
 
 class FastTimingSim:
@@ -88,463 +88,91 @@ class FastTimingSim:
             self.stats.unit_full_cycles[u] = 0
             self.stats.unit_issues[u] = 0
 
+    def _params(self, n: int) -> array:
+        cfg = self.cfg
+        return array("q", (
+            cfg.commit_width, cfg.dispatch_width, cfg.rob_size,
+            cfg.int_queue_size, cfg.addr_queue_size, cfg.fp_queue_size,
+            cfg.branch_buffer_size,
+            cfg.num_alus, cfg.num_shifters, cfg.num_mem_units,
+            cfg.num_branch_units, cfg.num_fpadd, cfg.num_fpmul,
+            cfg.num_fpdiv,
+            cfg.misprediction_recovery, cfg.fence_stall,
+            cfg.latencies.cache_miss_penalty,
+            cfg.phys_int_regs - cfg.arch_int_regs,
+            cfg.phys_fp_regs - cfg.arch_fp_regs,
+            cfg.cache_line.bit_length() - 1,
+            self.icache.num_sets, self.dcache.num_sets, cfg.cache_assoc,
+            _PREDICTOR_ID[cfg.predictor], cfg.bht_entries,
+            cfg.btb_entries, n))
+
     def run(self, batches: Iterable[tuple],
             decoded: Optional[DecodedProgram] = None) -> SimStats:
         """Replay *batches* ((idxs, brs, mems, anns) tuples) to completion."""
         dec = decoded if decoded is not None else self.decoded
         if dec is None:
             raise ValueError("FastTimingSim needs a DecodedProgram")
-        cfg = self.cfg
-        lats, dmeta = dec.timing_meta(cfg)
-        ops = dec.ops
-        instrs = dec.prog.instructions
-
-        CW = cfg.commit_width
-        DW = cfg.dispatch_width
-        ROB_SIZE = cfg.rob_size
-        QCAP = (cfg.int_queue_size, cfg.addr_queue_size,
-                cfg.fp_queue_size, cfg.branch_buffer_size)
-        UCAP = (cfg.num_alus, cfg.num_shifters, cfg.num_mem_units,
-                cfg.num_branch_units, cfg.num_fpadd, cfg.num_fpmul,
-                cfg.num_fpdiv)
-        RECOV = cfg.misprediction_recovery
-        FSTALL = cfg.fence_stall
-        MISS = cfg.latencies.cache_miss_penalty
-
-        # The LRU cache lookups are inlined (a method call per access is
-        # a measurable share of the loop); hit/miss totals are written
-        # back to the real Cache objects' stats at the end.  Set state
-        # mirrors cache.Cache.access exactly: hit -> move-to-back,
-        # miss -> append + evict front past the associativity.
-        line_shift = cfg.cache_line.bit_length() - 1
-        isets = self.icache._sets
-        dsets = self.dcache._sets
-        iset_mask = len(isets) - 1
-        dset_mask = len(dsets) - 1
-        itag_shift = iset_mask.bit_length()
-        dtag_shift = dset_mask.bit_length()
-        ASSOC = cfg.cache_assoc
-        i_acc = i_miss = d_acc = d_miss = 0
-        predictor = self.predictor
-        pred_access = predictor.access
-        pstats = predictor.stats
-
-        rob: deque = deque()
-        rob_append = rob.append
-        rob_popleft = rob.popleft
-        #: issue events: cycle -> entries whose deps are resolved by then
-        bucket: dict = {}
-        bucket_get = bucket.get
-        bucket_pop = bucket.pop
-        #: cap/fpdiv-blocked candidates retrying next cycle (age order)
-        carry: list = []
-        qlen = [0, 0, 0, 0]
-        producer: list = [None] * 72
-        free_int = cfg.phys_int_regs - cfg.arch_int_regs
-        free_fp = cfg.phys_fp_regs - cfg.arch_fp_regs
-        fpdiv_busy = 0
-        redirect = None
-        fence = None
-        fetch_resume = 0
-        cur_line = -1
-        cycle = 0
-
-        committed = 0
-        annulled_n = 0
-        fetch_stall = 0
-        icache_stall = 0
-        mispredicts = 0
-        indirect = 0
-        fence_stall_c = 0
-        fence_ev = 0
-        qfull = [0, 0, 0, 0]
-        ufull = [0] * 7
-        uissues = [0] * 7
-
+        mod = native.kernel()
+        ffi, lib = mod.ffi, mod.lib
+        meta, uses = dec.timing_tables(self.cfg)
+        # The kernel keeps these pointers: the cdata objects below keep
+        # their buffers alive for as long as it runs.
+        bufs = [ffi.from_buffer("int64_t[]", self._params(dec.n)),
+                ffi.from_buffer("int32_t[]", meta),
+                ffi.from_buffer("int32_t[]", uses)]
+        sim = lib.tk_new(*bufs)
+        if sim == ffi.NULL:
+            raise MemoryError("timing kernel allocation failed")
+        sim = ffi.gc(sim, lib.tk_free)
         gen = iter(batches)
-        idxs: tuple = ()
-        brs: tuple = ()
-        mems: tuple = ()
-        anns: tuple = ()
-        nidx = 0
-        di = bi = mi = ai = 0
-        next_ann = -1
-        step_no = 0
-        exhausted = False
-
-        def refill():
+        while True:
+            status = lib.tk_run(sim)
+            if status != _NEED_BATCH:
+                break
             # Mirrors the reference's eager ``pending = next(it, None)``:
             # functional-side exceptions surface here and propagate.
-            nonlocal idxs, brs, mems, anns, nidx, di, bi, mi, ai, \
-                next_ann, exhausted
-            while True:
-                try:
-                    b = next(gen)
-                except StopIteration:
-                    exhausted = True
-                    return False
-                if b[0]:
-                    idxs, brs, mems, anns = b
-                    nidx = len(idxs)
-                    di = bi = mi = ai = 0
-                    next_ann = anns[0] if anns else -1
-                    return True
-
-        refill()
-
-        while not exhausted or rob:
-            # -- span skip ------------------------------------------------------
-            if (exhausted or redirect is not None or fence is not None
-                    or cycle < fetch_resume) and not carry:
-                # Fetch is inactive: until the gate reopens or an issue
-                # bucket comes due, each cycle is just a commit wave
-                # plus fixed stall counters.  Commits can be retired
-                # through the whole span at reference pacing (≤ CW per
-                # cycle, head order) — they wake nobody and dispatch is
-                # gated, so freed rename registers go unobserved.
-                # Attribute the skipped cycles to whichever gate the
-                # reference's elif chain would have blamed.  (Gate state
-                # cannot change mid-span: redirect/fence are set at
-                # dispatch, and their completion times are fixed at
-                # issue — an unissued gate entry sits in a bucket, which
-                # bounds the jump.)
-                if redirect is not None:
-                    c0 = redirect[0]
-                    t = c0 + RECOV if c0 is not None else _NEVER
-                    mode = 1
-                elif fence is not None:
-                    c0 = fence[0]
-                    t = c0 + FSTALL if c0 is not None else _NEVER
-                    mode = 2
-                elif cycle < fetch_resume:
-                    t = fetch_resume
-                    mode = 3
-                else:
-                    t = _NEVER          # pure drain: bound by events only
-                    mode = 0
-                if bucket:
-                    mb = min(bucket)
-                    if mb < t:
-                        t = mb
-                if t > cycle:
-                    cur = cycle
-                    while rob and cur < t:
-                        c0 = rob[0][0]
-                        if c0 is None:      # unissued head: no commits
-                            break
-                        if c0 > cur:
-                            if c0 >= t:
-                                break
-                            cur = c0
-                        k = 0
-                        while rob and k < CW:
-                            e = rob[0]
-                            c0 = e[0]
-                            if c0 is None or c0 > cur:
-                                break
-                            rob_popleft()
-                            k += 1
-                            if e[2]:
-                                annulled_n += 1
-                            else:
-                                committed += 1
-                            rn = e[5]
-                            if rn == 1:
-                                free_int += 1
-                            elif rn == 2:
-                                free_fp += 1
-                            d = e[9]
-                            if d >= 0 and producer[d] is e:
-                                producer[d] = None
-                        cur += 1
-                    if t == _NEVER:
-                        # pure drain with no issue events left: the ROB
-                        # is fully issued and has just been emptied; the
-                        # wave loop's final ``cur`` is the exit cycle.
-                        cycle = cur
-                        continue
-                    span = t - cycle
-                    if mode == 1:
-                        fetch_stall += span
-                    elif mode == 2:
-                        fence_stall_c += span
-                        fetch_stall += span
-                    elif mode == 3:
-                        icache_stall += span
-                        fetch_stall += span
-                    if qlen[0] >= QCAP[0]:
-                        qfull[0] += span
-                    if qlen[1] >= QCAP[1]:
-                        qfull[1] += span
-                    if qlen[2] >= QCAP[2]:
-                        qfull[2] += span
-                    if qlen[3] >= QCAP[3]:
-                        qfull[3] += span
-                    cycle = t
-
-            # -- 1. commit ------------------------------------------------------
-            k = 0
-            while rob and k < CW:
-                e = rob[0]
-                c0 = e[0]
-                if c0 is None or c0 > cycle:
+            for idxs, brs, mems, anns in gen:
+                if idxs:
+                    batch = [array("i", idxs), array("b", brs),
+                             array("q", mems), array("q", anns)]
+                    bufs[3:] = [
+                        ffi.from_buffer(t, a) for t, a in zip(
+                            ("int32_t[]", "int8_t[]", "int64_t[]",
+                             "int64_t[]"), batch)]
+                    lib.tk_set_batch(sim, bufs[3], len(idxs), bufs[4],
+                                     bufs[5], bufs[6], len(anns))
                     break
-                rob_popleft()
-                k += 1
-                if e[2]:
-                    annulled_n += 1
-                else:
-                    committed += 1
-                rn = e[5]
-                if rn == 1:
-                    free_int += 1
-                elif rn == 2:
-                    free_fp += 1
-                d = e[9]
-                if d >= 0 and producer[d] is e:
-                    producer[d] = None
+            else:
+                lib.tk_end_of_trace(sim)
+        out = array("q", bytes(8 * _NRESULTS))
+        lib.tk_results(sim, ffi.from_buffer("int64_t[]", out))
+        if status == _UNMODELED:
+            pc = out[_R_ERROR_PC]
+            raise UnmodeledOpcode(
+                f"opcode {dec.ops[pc]!r} reached the timing simulator but "
+                f"has no modeled functional unit", pc=pc)
+        if status == _NO_CONVERGE:
+            raise RuntimeError("timing simulation did not converge")
+        if status == _BTB_EMPTY:
+            # what the reference predictor's eviction from an empty
+            # (btb_entries < 1) target buffer raises
+            raise StopIteration
+        return self._write_back(out)
 
-            # -- 2. issue -------------------------------------------------------
-            cand = bucket_pop(cycle, None)
-            if cand is not None or carry:
-                if cand is None:
-                    cand = carry
-                    carry = []
-                elif carry:
-                    carry.extend(cand)
-                    cand = carry
-                    carry = []
-                    cand.sort(key=_AGE)
-                elif len(cand) > 1:
-                    cand.sort(key=_AGE)
-                iss = [0, 0, 0, 0, 0, 0, 0]
-                for e in cand:
-                    u = e[4]
-                    if iss[u] >= UCAP[u] or (u == 6 and cycle < fpdiv_busy):
-                        carry.append(e)
-                        continue
-                    iss[u] += 1
-                    uissues[u] += 1
-                    if e[2]:
-                        lat = 1
-                    else:
-                        lat = lats[e[1]]
-                        a = e[3]
-                        if a >= 0:
-                            d_acc += 1
-                            blk = a >> line_shift
-                            s = dsets[blk & dset_mask]
-                            tag = blk >> dtag_shift
-                            if tag in s:
-                                s.remove(tag)
-                                s.append(tag)
-                            else:
-                                d_miss += 1
-                                s.append(tag)
-                                if len(s) > ASSOC:
-                                    s.pop(0)
-                                lat += MISS
-                    if u == 6:
-                        fpdiv_busy = cycle + lat
-                    c2 = cycle + lat
-                    e[0] = c2
-                    qlen[e[11]] -= 1
-                    w = e[8]
-                    if w:
-                        for x in w:
-                            x[6] -= 1
-                            if c2 > x[7]:
-                                x[7] = c2
-                            if not x[6]:
-                                k2 = x[7]
-                                if k2 <= cycle:
-                                    k2 = cycle + 1
-                                b = bucket_get(k2)
-                                if b is None:
-                                    bucket[k2] = [x]
-                                else:
-                                    b.append(x)
-                    e[8] = None
-                for u in range(7):
-                    n_ = iss[u]
-                    if n_ and n_ >= UCAP[u]:
-                        ufull[u] += 1
-
-            # -- 3. dispatch ----------------------------------------------------
-            open_ = True
-            if redirect is not None:
-                c0 = redirect[0]
-                if c0 is None or cycle < c0 + RECOV:
-                    fetch_stall += 1
-                    open_ = False
-                else:
-                    redirect = None
-                    cur_line = -1
-            if open_ and fence is not None:
-                c0 = fence[0]
-                if c0 is None or cycle < c0 + FSTALL:
-                    fence_stall_c += 1
-                    fetch_stall += 1
-                    open_ = False
-                else:
-                    fence = None
-            if open_ and cycle < fetch_resume:
-                icache_stall += 1
-                fetch_stall += 1
-                open_ = False
-            if open_:
-                for _ in range(DW):
-                    if di >= nidx and (exhausted or not refill()):
-                        break
-                    pc = idxs[di]
-                    fl, line, qi, rn, un, dfid, uses = dmeta[pc]
-                    if line != cur_line:
-                        # ``line`` is (pc*4) >> line_shift, i.e. the block
-                        cur_line = line
-                        i_acc += 1
-                        s = isets[line & iset_mask]
-                        tag = line >> itag_shift
-                        if tag in s:
-                            s.remove(tag)
-                            s.append(tag)
-                        else:
-                            i_miss += 1
-                            s.append(tag)
-                            if len(s) > ASSOC:
-                                s.pop(0)
-                            fetch_resume = cycle + MISS
-                            break
-                    if fl & 128:           # F_UNMODELED
-                        raise UnmodeledOpcode(
-                            f"opcode {ops[pc]!r} reached the timing "
-                            f"simulator but has no modeled functional "
-                            f"unit", pc=pc)
-                    if len(rob) >= ROB_SIZE:
-                        break
-                    if qlen[qi] >= QCAP[qi]:
-                        break
-                    if rn == 1:
-                        if free_int <= 0:
-                            break
-                    elif rn == 2:
-                        if free_fp <= 0:
-                            break
-                    if step_no == next_ann:
-                        ann = True
-                        ai += 1
-                        next_ann = anns[ai] if ai < len(anns) else -1
-                        addr = -1
-                    else:
-                        ann = False
-                        if fl & 32:        # F_MEM
-                            addr = mems[mi]
-                            mi += 1
-                        else:
-                            addr = -1
-                    e = [None, pc, ann, addr, un, rn, 0, 0, None, dfid,
-                         step_no, qi]
-                    if rn == 1:
-                        free_int -= 1
-                    elif rn == 2:
-                        free_fp -= 1
-                    pend = 0
-                    rdy = 0
-                    for rid in uses:
-                        p = producer[rid]
-                        if p is not None:
-                            pc0 = p[0]
-                            if pc0 is None:
-                                pend += 1
-                                w = p[8]
-                                if w is None:
-                                    p[8] = [e]
-                                else:
-                                    w.append(e)
-                            elif pc0 > rdy and pc0 > cycle:
-                                rdy = pc0
-                    if fl & 16 and not ann:    # F_FENCE: wait on in-flight
-                        for x in rob:
-                            xc = x[0]
-                            if xc is None:
-                                pend += 1
-                                w = x[8]
-                                if w is None:
-                                    x[8] = [e]
-                                else:
-                                    w.append(e)
-                            elif xc > rdy and xc > cycle:
-                                rdy = xc
-                    e[6] = pend
-                    e[7] = rdy
-                    if not pend:
-                        key = rdy if rdy > cycle else cycle + 1
-                        b = bucket_get(key)
-                        if b is None:
-                            bucket[key] = [e]
-                        else:
-                            b.append(e)
-                    if not ann and dfid >= 0:
-                        producer[dfid] = e
-                    qlen[qi] += 1
-                    rob_append(e)
-                    stall = False
-                    if fl & 16 and not ann:
-                        fence_ev += 1
-                        fence = e
-                        stall = True
-                    elif fl & 1 and not ann:   # F_BRANCH
-                        tk = bool(brs[bi])
-                        bi += 1
-                        if not pred_access(pc, instrs[pc], tk, target=pc):
-                            mispredicts += 1
-                            redirect = e
-                            stall = True
-                    elif fl & 8:               # F_JRJALR (even annulled)
-                        if not predictor.indirect_resolves_in_fetch():
-                            indirect += 1
-                            pstats.indirect_stalls += 1
-                            redirect = e
-                            stall = True
-                    step_no += 1
-                    di += 1
-                    if di >= nidx and not exhausted:
-                        refill()
-                    if stall:
-                        break
-
-            # -- 4. occupancy ---------------------------------------------------
-            if qlen[0] >= QCAP[0]:
-                qfull[0] += 1
-            if qlen[1] >= QCAP[1]:
-                qfull[1] += 1
-            if qlen[2] >= QCAP[2]:
-                qfull[2] += 1
-            if qlen[3] >= QCAP[3]:
-                qfull[3] += 1
-            cycle += 1
-            if cycle > 10_000_000_000:  # pragma: no cover
-                raise RuntimeError("timing simulation did not converge")
-
-        ist = self.icache.stats
-        ist.accesses += i_acc
-        ist.misses += i_miss
-        dst = self.dcache.stats
-        dst.accesses += d_acc
-        dst.misses += d_miss
+    def _write_back(self, out: array) -> SimStats:
         st = self.stats
-        st.cycles = cycle
-        st.committed = committed
-        st.annulled = annulled_n
-        st.dispatched = committed + annulled_n
-        st.fetch_stall_cycles = fetch_stall
-        st.icache_stall_cycles = icache_stall
-        st.mispredict_events = mispredicts
-        st.indirect_stall_events = indirect
-        st.fence_stall_cycles = fence_stall_c
-        st.fence_events = fence_ev
+        for i, name in enumerate(_SIM_FIELDS):
+            setattr(st, name, out[i])
+        st.dispatched = st.committed + st.annulled
         for i, name in enumerate(QUEUE_NAMES):
-            st.queue_full_cycles[name] = qfull[i]
+            st.queue_full_cycles[name] = out[_R_QFULL + i]
         for i, name in enumerate(UNIT_NAMES):
-            st.unit_full_cycles[name] = ufull[i]
-            st.unit_issues[name] = uissues[i]
+            st.unit_full_cycles[name] = out[_R_UFULL + i]
+            st.unit_issues[name] = out[_R_UISSUES + i]
+        ist, dst = self.icache.stats, self.dcache.stats
+        ist.accesses, ist.misses, dst.accesses, dst.misses = \
+            out[_R_CACHES:_R_CACHES + 4]
+        pst = self.predictor.stats
+        for i, name in enumerate(_PREDICTOR_FIELDS):
+            setattr(pst, name, out[_R_PREDICTOR + i])
         return st

@@ -92,3 +92,26 @@ def test_stats_shape(tmp_path):
                   "misses", "puts", "evictions", "corrupt", "hit_rate"):
         assert field in s
     assert s["entries"] == 1
+
+
+def test_puts_below_the_cap_do_not_rescan(tmp_path, monkeypatch):
+    cache = ArtifactCache(tmp_path, max_bytes=10_000)
+    scans = []
+    real = cache._entry_files
+
+    def counted():
+        scans.append(1)
+        return real()
+
+    monkeypatch.setattr(cache, "_entry_files", counted)
+    for i in range(20):
+        cache.put(_key(i), {"i": i})
+    assert len(scans) == 1                    # the seeding scan only
+    cache.put(_key(0), {"i": 0, "pad": "x" * 200})   # overwrite: +200 B
+    assert len(scans) == 1
+    assert cache._total == sum(p.stat().st_size for p in real())
+    for i in range(20, 200):                  # cross the cap
+        cache.put(_key(i), {"i": i})
+    assert len(scans) > 1
+    assert cache.stats()["total_bytes"] <= 10_000
+    assert cache.counters.evictions > 0
