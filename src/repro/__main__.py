@@ -687,7 +687,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--backend", default=None,
                        choices=["reference", "fast"],
                        help="execution backend: 'fast' uses the "
-                            "decode-once generated-step simulators of "
+                            "decode-once native-kernel simulators of "
                             "repro.fastsim (byte-identical results; see "
                             "docs/FASTSIM.md). Default: $REPRO_BACKEND "
                             "or 'reference'")

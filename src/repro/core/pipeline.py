@@ -209,7 +209,7 @@ def compile_proposed(prog: Program,
     IR verifier after every pass (rolling back passes that break an
     invariant); disable it only for trusted perf-measurement loops.
     *backend* selects the execution backend of the profiling run
-    (``"fast"`` uses the :mod:`repro.fastsim` generated-step executor;
+    (``"fast"`` uses the :mod:`repro.fastsim` native functional kernel;
     the profile — and therefore the compile output — is byte-identical
     either way).
     """

@@ -134,7 +134,7 @@ def counted_compile(kind: str, prog: Program, heur: FeedbackHeuristics,
     Each kind shares nothing with the ``"prop"`` compile memo because its
     toggle (:func:`kind_heuristics`) changes the emitted code.
     ``backend="fast"`` runs the profiling pass of proposed-pipeline
-    compiles on the generated-step executor (byte-identical profiles);
+    compiles on the native functional kernel (byte-identical profiles);
     *profile* (see :func:`~repro.core.pipeline.collect_profile`) skips it.
     """
     COUNTERS.compiles += 1
@@ -153,7 +153,7 @@ def counted_simulate(prog: Program, config: MachineConfig,
     """Functional + timing simulation, incrementing the counter.
 
     ``backend="fast"`` routes through :func:`repro.fastsim.backend.simulate`
-    (decode-once + generated-step functional + event-bucket timing);
+    (decode-once + native functional + event-bucket timing kernels);
     results are byte-identical and fastsim-internal failures fall back to
     the reference path transparently.
     """

@@ -1,4 +1,4 @@
-"""Fast simulator backends: decode-once lowering + specialized-step codegen.
+"""Fast simulator backends: decode-once lowering run by native kernels.
 
 The reference simulators (:mod:`repro.sim.functional`,
 :mod:`repro.sim.pipeline`) interpret one :class:`Instruction` object per
@@ -10,24 +10,28 @@ the artifact cache is cold by construction.
 This package adds a second, *semantically identical* execution path:
 
 * :mod:`repro.fastsim.decode` — a decode-once pass lowering a program to
-  dense per-PC operand tables plus a basic-block index, shared by both
-  fast simulators;
-* :mod:`repro.fastsim.codegen` — ``exec``-compiles one straight-line
-  Python function per basic block (superblock dispatch: fall through
-  inside a block, branch logic only at block ends);
-* :mod:`repro.fastsim.functional` — :class:`FastFunctionalSim`, the
-  generated-step functional executor producing the same
-  :class:`~repro.sim.functional.ExecStats` and a batched trace stream;
+  dense per-PC tables, shared by both kernels;
+* :mod:`repro.fastsim.codegen` — lowers the decode tables into the
+  native functional kernel's flat operand records (validated by the
+  kernel, cached per program);
+* :mod:`repro.fastsim.functional` — :class:`FastFunctionalSim`, the thin
+  front end of the C functional interpreter (``functional_kernel.c``),
+  producing the same :class:`~repro.sim.functional.ExecStats` and a
+  batched trace stream in the timing kernel's dtypes; before any
+  instruction it does not model, it hands the run to the reference
+  interpreter;
 * :mod:`repro.fastsim.timing` — :class:`FastTimingSim`, the Python
-  front end of a native (C, cffi-built) batched-event cycle loop that skips cycles
+  front end of a native (C) batched-event cycle loop that skips cycles
   with no pipeline activity (mispredict recovery, fence drains, icache
-  refills, the final ROB drain); :mod:`repro.fastsim.native` builds the
-  kernel on first use and caches it per user;
+  refills, the final ROB drain);
+* :mod:`repro.fastsim.native` — builds both kernels into one cffi
+  extension on first use and caches it per user;
 * :mod:`repro.fastsim.backend` — backend selection (``"reference"`` /
-  ``"fast"``, ``REPRO_BACKEND`` env var) and the contained entry point
-  used by :mod:`repro.engine.cells`: internal fastsim faults fall back
-  to the reference interpreter and record a decision trail, while
-  program-semantic failures propagate byte-identically;
+  ``"fast"``, ``REPRO_BACKEND`` env var) and the contained entry points
+  used by :mod:`repro.engine.cells` and profile collection: internal
+  fastsim faults fall back to the reference interpreter and record a
+  decision trail, while program-semantic failures propagate
+  byte-identically;
 * :mod:`repro.fastsim.check` — cross-backend diffcheck helpers built on
   :mod:`repro.robust.diffcheck`.
 

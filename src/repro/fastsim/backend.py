@@ -4,8 +4,9 @@ Two execution backends exist for every cell:
 
 * ``"reference"`` — the readable interpreters in :mod:`repro.sim`
   (the default, and the arbiter of correctness);
-* ``"fast"`` — :mod:`repro.fastsim`'s decode-once + generated-step
-  functional executor feeding the native batched-event timing kernel.
+* ``"fast"`` — :mod:`repro.fastsim`'s decode-once lowering run by the
+  native functional kernel, feeding the native batched-event timing
+  kernel.
 
 Selection is per-run: the ``backend=`` parameter on
 :class:`repro.api.Session` / ``run_suite`` / ``execute_cell``, the
@@ -22,14 +23,15 @@ Containment contract of :func:`simulate` (the entry point
   conversion errors — propagate unchanged: both backends fail a cell
   with the same exception, so a FAIL(...) cell payload is
   backend-independent.
-* **Fastsim-internal failures** — decode rejection, a native timing
-  kernel that cannot be built or loaded (no C compiler, no cffi),
-  codegen syntax errors (e.g. the ``fastsim-bad-codegen`` fault), stale
-  decode tables, or an unexpected crash inside generated code — are
-  *not* the program's fault: the run transparently restarts on the
-  reference backend (deterministic, so a semantic failure would
-  reproduce there) and the decision is recorded on
-  :func:`fallback_trail` plus the ``fastsim.fallbacks`` metric.
+* **Fastsim-internal failures** — decode rejection, native kernels
+  that cannot be built or loaded (no C compiler, no cffi), a lowered
+  program the kernel's validation rejects (e.g. the
+  ``fastsim-bad-codegen`` fault), stale decode tables, or an unexpected
+  crash in the fast path — are *not* the program's fault: the run
+  transparently restarts on the reference backend (deterministic, so a
+  semantic failure would reproduce there) and the decision is recorded
+  on :func:`fallback_trail` plus the ``fastsim.fallbacks`` metric.
+  Profile runs (:func:`functional_sim`) are contained the same way.
 
 Observer-instrumented runs (``repro.obs`` pipeline observer) always use
 the reference pipeline — the observer hooks the reference cycle loop.
@@ -177,15 +179,26 @@ def functional_sim(prog: Program, max_steps: int = 20_000_000,
 
     Used by profile collection (``ProfileDB.from_run``) when the run is
     on the fast backend; exposes the reference surface (``run``,
-    ``stats``, ``index_counts``).
+    ``stats``, ``index_counts``).  Stages as in :func:`simulate`.
     """
+    def reference(stage: str, exc: BaseException) -> FunctionalSim:
+        _fallback(stage, _short(exc))
+        return FunctionalSim(prog, max_steps=max_steps,
+                             record_outcomes=record_outcomes)
+
     try:
         dec = decode_program(prog)
+    except Exception as exc:
+        return reference("decode", exc)
+    try:
+        kernel()
+    except NativeBuildError as exc:
+        return reference("native-build", exc)
+    try:
+        dec.check_stale(prog)
         get_compiled(dec, record=record_outcomes, trace=False)
         return FastFunctionalSim(prog, max_steps=max_steps,
                                  record_outcomes=record_outcomes,
                                  decoded=dec)
     except Exception as exc:
-        _fallback("codegen", _short(exc))
-        return FunctionalSim(prog, max_steps=max_steps,
-                             record_outcomes=record_outcomes)
+        return reference("codegen", exc)

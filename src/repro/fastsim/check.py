@@ -5,7 +5,7 @@ same program" architecturally (final memory image, halt behavior,
 registers) and report divergences as a structured
 :class:`~repro.robust.diffcheck.DiffReport`.  This module points that
 machinery *across backends*: the same program, the same inputs, once on
-the reference interpreter and once on the generated-step executor.
+the reference interpreter and once on the native functional kernel.
 
 Two granularities:
 
@@ -56,6 +56,12 @@ def _dict_mismatches(prefix: str, a: dict, b: dict) -> list[str]:
     return out
 
 
+def _float_bits(fregs: dict) -> dict:
+    """fp registers compared exactly: a NaN equals a NaN, -0.0 is not
+    0.0 (``float.hex`` spells both apart)."""
+    return {reg: v.hex() for reg, v in fregs.items()}
+
+
 def crosscheck(prog: Program, *, max_steps: int = 20_000_000,
                record_outcomes: bool = True) -> DiffReport:
     """Reference vs fast functional execution of *prog*.
@@ -63,7 +69,8 @@ def crosscheck(prog: Program, *, max_steps: int = 20_000_000,
     Equivalent means: identical failure behavior (both clean, or both
     raising the same exception at the same step count), identical
     ``ExecStats`` payloads, identical per-instruction execution counts,
-    identical final registers (int, float, cc) and memory image.
+    identical final registers (int, float bit for bit, cc) and memory
+    image.
     """
     ref = FunctionalSim(prog, max_steps=max_steps,
                         record_outcomes=record_outcomes)
@@ -87,7 +94,8 @@ def crosscheck(prog: Program, *, max_steps: int = 20_000_000,
         mism.append(f"index_counts: first diff at pc={firsts[0]}"
                     if firsts else "index_counts: length differs")
     for name, a, b in (("regs", ref.regs, fast.regs),
-                       ("fregs", ref.fregs, fast.fregs),
+                       ("fregs", _float_bits(ref.fregs),
+                        _float_bits(fast.fregs)),
                        ("ccregs", ref.ccregs, fast.ccregs)):
         mism.extend(_dict_mismatches(name, a, b))
     if mism:

@@ -1,4 +1,4 @@
-"""Decode-once lowering: a program as dense per-PC tables + a block index.
+"""Decode-once lowering: a program as dense per-PC tables.
 
 The reference simulators re-inspect :class:`Instruction` objects on every
 dynamic step (string compares, ``info`` property lookups, dict-keyed
@@ -6,33 +6,25 @@ register reads).  :func:`decode_program` does that inspection exactly once
 per static instruction, producing :class:`DecodedProgram` — flat lists
 indexed by PC — shared by both fast simulators:
 
-* the functional codegen (:mod:`repro.fastsim.codegen`) consumes the
-  block index and per-PC operands to emit one Python function per basic
-  block;
+* :mod:`repro.fastsim.codegen` lowers the per-PC operands, targets and
+  guards into the native functional kernel's records;
 * the fast timing model (:mod:`repro.fastsim.timing`) packs the
   pre-resolved queue/unit/latency/dependence tables into flat integer
-  arrays for the native kernel.
+  arrays for the native timing kernel.
 
 Registers are mapped into one flat id space so the timing model's rename
 and dependence state can live in a single 72-slot table::
 
     r0..r31 -> 0..31      f0..f31 -> 32..63      cc0..cc7 -> 64..71
 
-Block structure follows the functional executor's control flow: a block
-ends after a conditional branch, a jump (``j``/``jal``/``jr``/``jalr``)
-or ``halt``; ``fence`` is *not* a terminator (it only constrains the
-timing model).  Every branch target, label and fall-through position is
-a block leader, so the only mid-block entries a ``jr`` can produce come
-from genuinely odd programs — those bail to the reference interpreter.
-
 Decoded tables are cached per program *identity* (``id`` + weakref, the
 Program dataclass is unhashable) and carry a staleness signature
 (instruction count + label layout) so a table decoded from a program
 that was later mutated in place is rejected instead of mis-executed —
-see ``fastsim-stale-block-index`` in :mod:`repro.fastsim.faults`.  The
+see ``fastsim-stale-decode`` in :mod:`repro.fastsim.faults`.  The
 tables refer to their program weakly too, so the cache never keeps a
-program (or the generated code and timing tables hanging off its
-decode) alive.
+program (or the lowered and timing tables hanging off its decode)
+alive.
 """
 
 from __future__ import annotations
@@ -107,7 +99,7 @@ def reg_id(name: str) -> int:
 
 @dataclass
 class DecodedProgram:
-    """Dense per-PC operand tables + basic-block index for one program."""
+    """Dense per-PC operand tables for one program."""
 
     #: weak reference to the decoded program (see :attr:`prog`)
     prog_ref: weakref.ref
@@ -125,12 +117,10 @@ class DecodedProgram:
     def_ids: list[int]                    # flat id of the renamed def, -1
     rename_ids: list[int]                 # 0 none / 1 int / 2 fp
     guards: list[Optional[tuple]]         # (cc index 0..7, sense) or None
-    blocks: list[tuple]                   # (start, end_exclusive) per block
-    block_at: list[int]                   # pc -> block id (leaders), else -1
     #: per-PC target map in FunctionalSim._targets form (slow-path seeding)
     targets_map: dict = field(default_factory=dict)
-    #: compiled codegen variants, keyed (record_outcomes, trace)
-    _compiled: dict = field(default_factory=dict, repr=False)
+    #: the functional kernel's tables (repro.fastsim.codegen.get_compiled)
+    _lowered: object = field(default=None, repr=False)
     #: packed timing tables per machine config, keyed (cache_line,
     #: latencies)
     _timing_tables: dict = field(default_factory=dict, repr=False)
@@ -188,7 +178,6 @@ def _decode(prog: Program) -> DecodedProgram:
     queue_ids, unit_ids, lat_classes = [], [], []
     use_ids, def_ids, rename_ids, guards = [], [], [], []
     targets_map: dict[int, int] = {}
-    leaders = {0}
     for pc, ins in enumerate(instrs):
         info = ins.info
         op = ins.op
@@ -240,27 +229,13 @@ def _decode(prog: Program) -> DecodedProgram:
         use_ids.append(tuple(reg_id(r) for r in ins.uses()))
         def_ids.append(reg_id(defs[0]) if defs else -1)
         rename_ids.append(rid)
-        if fl & (F_BRANCH | F_JUMP | F_HALT):
-            leaders.add(pc + 1)
-            if tgt >= 0:
-                leaders.add(tgt)
-    for idx in prog.labels.values():
-        leaders.add(idx)
-    starts = sorted(x for x in leaders if 0 <= x < n)
-    blocks: list[tuple] = []
-    block_at = [-1] * n
-    bounds = starts + [n]
-    for bid, start in enumerate(starts):
-        blocks.append((start, bounds[bid + 1]))
-        block_at[start] = bid
     return DecodedProgram(
         prog_ref=weakref.ref(prog), n=n, nlabels=len(prog.labels),
         labels_sig=tuple(sorted(prog.labels.items())),
         ops=ops, flags=flags, targets=targets,
         queue_ids=queue_ids, unit_ids=unit_ids, lat_classes=lat_classes,
         use_ids=use_ids, def_ids=def_ids, rename_ids=rename_ids,
-        guards=guards, blocks=blocks, block_at=block_at,
-        targets_map=targets_map)
+        guards=guards, targets_map=targets_map)
 
 
 #: id -> (weakref to program, decoded tables).  Keyed by identity because

@@ -7,61 +7,62 @@ fallback trail.  These injectors corrupt the fast path at each of its
 stages so ``tools/inject_faults.py`` and ``tests/robust`` can assert the
 claim end to end:
 
-* ``fastsim-bad-codegen`` — the generated specialized-step source is
-  corrupted into a ``SyntaxError`` before ``compile()``; contained at
-  the **codegen** stage.
+* ``fastsim-bad-codegen`` — the lowered program's first record is
+  corrupted to an opcode id the kernel does not have, so the kernel's
+  validation rejects it; contained at the **codegen** stage.
 * ``fastsim-stale-decode`` — the decode pass returns operand tables
   built from a different (re-parsed) program object, tripping the
   staleness signature check; contained at the **codegen** stage with a
   ``DecodeError: stale decode tables ...`` reason.
-* ``fastsim-runtime-crash`` — the generated drive loop raises a
+* ``fastsim-runtime-crash`` — the functional front end raises a
   non-semantic exception (``KeyError``) on entry; contained at the
-  **execute** stage after codegen succeeded.
+  **execute** stage after lowering succeeded.
 
 Program-semantic failures (``UnmodeledOpcode``, alignment traps, step
 budgets) are deliberately NOT injectable here: both backends must raise
 them identically, producing the same ``FAIL(...)`` cell — that half of
 the contract is asserted directly by the containment tests.
 
-All injection happens through documented module hooks
-(:data:`repro.fastsim.codegen._SOURCE_TRANSFORM`, the backend's
-``decode_program`` binding) inside a context manager that always
-restores the pristine state.
+All injection happens through module hooks
+(:data:`repro.fastsim.codegen._TABLE_TRANSFORM`, the backend's
+``decode_program`` binding, the functional front end's ``_drive``) inside a
+context manager that always restores the pristine state.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator
 
 from ..isa.program import Program
 from . import backend as _backend
 from . import codegen as _codegen
+from .functional import FastFunctionalSim
 
 #: Fault-class name -> one-line description (harness report text).
 FASTSIM_FAULTS = {
     "fastsim-bad-codegen":
-        "generated-step source corrupted into a SyntaxError "
+        "lowered program corrupted so the kernel's validation rejects it "
         "(contained: codegen-stage fallback)",
     "fastsim-stale-decode":
         "decode tables from a different program object "
         "(contained: codegen-stage fallback, DecodeError)",
     "fastsim-runtime-crash":
-        "generated drive loop raises a non-semantic error "
+        "functional front end raises a non-semantic error on entry "
         "(contained: execute-stage fallback)",
 }
 
 
-def _bad_codegen(src: str) -> str:
-    return src + "\n    this is ( not python\n"
+def _bad_codegen(low):
+    code = low.code[:]
+    code[0] = 1 << 20            # no such opcode id
+    return replace(low, code=code)
 
 
-def _runtime_crash(src: str) -> str:
-    return src.replace(
-        "    def drive():",
-        "    def drive():\n"
-        "        raise KeyError('injected fastsim runtime fault')",
-        1)
+def _runtime_crash(self, trace):
+    raise KeyError("injected fastsim runtime fault")
+    yield  # a generator, like the method it stands in for
 
 
 @contextmanager
@@ -84,11 +85,17 @@ def inject_fastsim_fault(name: str) -> Iterator[None]:
         finally:
             _backend.decode_program = real
         return
-    transform = (_bad_codegen if name == "fastsim-bad-codegen"
-                 else _runtime_crash)
-    prev = _codegen._SOURCE_TRANSFORM
-    _codegen._SOURCE_TRANSFORM = transform
+    if name == "fastsim-runtime-crash":
+        real_drive = FastFunctionalSim._drive
+        FastFunctionalSim._drive = _runtime_crash
+        try:
+            yield
+        finally:
+            FastFunctionalSim._drive = real_drive
+        return
+    prev = _codegen._TABLE_TRANSFORM
+    _codegen._TABLE_TRANSFORM = _bad_codegen
     try:
         yield
     finally:
-        _codegen._SOURCE_TRANSFORM = prev
+        _codegen._TABLE_TRANSFORM = prev

@@ -1,26 +1,30 @@
-"""Build, cache and load the native timing kernel (``timing_kernel.c``).
+"""Build, cache and load the native kernels of the fast backend.
 
-The kernel is a CPython extension built with cffi in API mode: cffi
-emits the C glue around the kernel source, one plain compiler
-subprocess turns it into a shared object, and the result is cached
-under::
+One CPython extension holds both kernels: the timing kernel
+(``timing_kernel.c``, behind :class:`~repro.fastsim.timing.FastTimingSim`)
+and the functional kernel (``functional_kernel.c``, behind
+:class:`~repro.fastsim.functional.FastFunctionalSim`).  It is built with
+cffi in API mode: cffi emits the C glue around the two sources, one
+plain compiler subprocess turns it into a shared object, and the result
+is cached under::
 
-    $XDG_CACHE_HOME/repro/native/<key>/_repro_timing_kernel<EXT_SUFFIX>
+    $XDG_CACHE_HOME/repro/native/<key>/_repro_kernels<EXT_SUFFIX>
 
 where ``$XDG_CACHE_HOME`` defaults to ``~/.cache`` and ``<key>`` is the
-sha256 of the kernel source, its cffi declarations, the cffi version and
-the interpreter's extension suffix.  A build goes to a private temporary
-directory and is installed with an atomic rename, so concurrent
-processes (pool workers) that race on a cold cache each install a
-complete, identical file.  A warm load imports the cached extension and
-runs no compiler; neither importing this module nor importing
-:mod:`repro.fastsim` builds or loads anything.
+sha256 of the kernel sources, their cffi declarations, the compiler
+flags, the cffi version and the interpreter's extension suffix.  A build
+goes to a private temporary directory and is installed with an atomic
+rename, so concurrent processes (pool workers) that race on a cold cache
+each install a complete, identical file.  A warm load imports the cached
+extension and runs no compiler; neither importing this module nor
+importing :mod:`repro.fastsim` builds or loads anything.
 
 Any failure -- cffi missing, no compiler, a compile error, a load error
 -- raises :class:`NativeBuildError`, which
-:func:`repro.fastsim.backend.simulate` contains as a ``native-build``
-fallback to the reference simulator.  The outcome is remembered for the
-life of the process, so a host without a compiler tries once.
+:mod:`repro.fastsim.backend` contains as a ``native-build`` fallback to
+the reference simulator, for simulations and profile runs alike.  The
+outcome is remembered for the life of the process, so a host without a
+compiler tries once.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from pathlib import Path
 from typing import Optional
 
 #: Extension module name (the ``PyInit_`` symbol cffi emits).
-MODULE = "_repro_timing_kernel"
+MODULE = "_repro_kernels"
 
-#: The kernel's C interface, as cffi sees it.
+#: The kernels' C interface, as cffi sees it.
 CDEF = """
 typedef struct tk_sim tk_sim;
 tk_sim *tk_new(const int64_t *params, const int32_t *meta,
@@ -51,9 +55,29 @@ void tk_set_batch(tk_sim *sim, const int32_t *idxs, int64_t nidx,
 void tk_end_of_trace(tk_sim *sim);
 int tk_run(tk_sim *sim);
 void tk_results(const tk_sim *sim, int64_t *out);
+
+typedef struct fk_sim fk_sim;
+const char *fk_optable(void);
+int64_t fk_validate(const int32_t *code, int64_t n, int64_t nslots);
+fk_sim *fk_new(const int32_t *code, const int64_t *imms, int64_t *state,
+               int64_t *counts, uint32_t *regs, double *fregs,
+               uint8_t *ccregs);
+void fk_free(fk_sim *sim);
+void fk_trace_to(fk_sim *sim, int32_t *idxs, int8_t *brs, int64_t *mems,
+                 int64_t *anns);
+int fk_record_to(fk_sim *sim, int32_t *order, int32_t *first_pc);
+int fk_set_page(fk_sim *sim, int64_t pno, uint8_t *page);
+int fk_run(fk_sim *sim);
+const uint8_t *fk_outcomes(const fk_sim *sim, int64_t slot, int64_t *len);
 """
 
-SOURCE = Path(__file__).with_name("timing_kernel.c")
+SOURCES = tuple(Path(__file__).with_name(name)
+                for name in ("timing_kernel.c", "functional_kernel.c"))
+
+#: Compiler flags.  IEEE semantics are part of the functional contract:
+#: no -ffast-math (which also flushes denormals process-wide), and no
+#: fused multiply-add contraction.
+CFLAGS = ["-shared", "-fPIC", "-O2", "-ffp-contract=off"]
 
 
 class NativeBuildError(Exception):
@@ -94,7 +118,7 @@ def build_key(source: str, cffi_version: str) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    for part in (source, CDEF, cffi_version,
+    for part in (source, CDEF, " ".join(CFLAGS), cffi_version,
                  sysconfig.get_config_var("EXT_SUFFIX") or ""):
         h.update(part.encode())
         h.update(b"\0")
@@ -116,7 +140,7 @@ def _load_or_build():
     except ImportError as exc:
         raise NativeBuildError(f"cffi unavailable: {exc}") from exc
     try:
-        source = SOURCE.read_text()
+        source = "\n".join(path.read_text() for path in SOURCES)
     except OSError as exc:
         raise NativeBuildError(f"kernel source unreadable: {exc}") from exc
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
@@ -142,7 +166,7 @@ def build(source: str, target: Path) -> None:
             so_file = os.path.join(tmp, target.name)
             with contextlib.redirect_stdout(io.StringIO()):
                 ffi.emit_c_code(c_file)     # it announces the file
-            flags = ["-shared", "-fPIC", "-O2"]
+            flags = list(CFLAGS)
             if sys.platform == "darwin":
                 flags += ["-undefined", "dynamic_lookup"]
             cmd = cc + flags + [

@@ -14,14 +14,16 @@ is its Python front end:
 
 * it packs the decoded program's timing tables once per (program,
   timing key) -- :meth:`DecodedProgram.timing_tables`;
-* it hands each ``(idxs, brs, mems, anns)`` batch to the kernel as
-  ``array`` buffers whenever the kernel suspends for more trace, which
-  is exactly where the reference model pulls its next trace entry, so a
-  functional-side exception (step budget, divergence) surfaces at the
-  same point relative to the timing side's ``UnmodeledOpcode``;
+* it hands each ``(idxs, brs, mems, anns)`` batch -- ``array('i')``,
+  ``array('b')``, ``array('q')``, ``array('q')``, as
+  :meth:`FastFunctionalSim.batches` yields them -- to the kernel in place,
+  whenever the kernel suspends for more trace, which is exactly where
+  the reference model pulls its next trace entry, so a functional-side
+  exception (step budget, divergence) surfaces at the same point
+  relative to the timing side's ``UnmodeledOpcode``;
 * it turns the kernel's status codes into the reference's exceptions and
   writes its counters back into ``SimStats``, the predictor's
-  ``PredictorStats`` and the I/D ``Cache.stats``.
+  ``PredictorStats`` and the I/D ``CacheStats``.
 
 Wrong-path modeling and observer hooks are not supported here;
 :func:`repro.fastsim.backend.simulate` falls back to the reference for
@@ -35,7 +37,7 @@ from array import array
 from typing import Iterable, Optional
 
 from ..sim.branch_pred import make_predictor
-from ..sim.cache import Cache
+from ..sim.cache import CacheStats, cache_geometry
 from ..sim.config import MachineConfig, R10K
 from ..sim.functional import UnmodeledOpcode
 from ..sim.stats import SimStats
@@ -76,12 +78,12 @@ class FastTimingSim:
         self.predictor = make_predictor(
             config.predictor, config.bht_entries, config.btb_entries)
         self.stats.predictor = self.predictor.stats
-        self.icache = Cache(config.icache_size, config.cache_line,
-                            config.cache_assoc, "icache")
-        self.dcache = Cache(config.dcache_size, config.cache_line,
-                            config.cache_assoc, "dcache")
-        self.stats.icache = self.icache.stats
-        self.stats.dcache = self.dcache.stats
+        # the kernel keeps the cache tags; only the geometry is needed here
+        self._sets = tuple(
+            cache_geometry(size, config.cache_line, config.cache_assoc)
+            for size in (config.icache_size, config.dcache_size))
+        self.stats.icache = CacheStats()
+        self.stats.dcache = CacheStats()
         for q in QUEUE_NAMES:
             self.stats.queue_full_cycles[q] = 0
         for u in UNIT_NAMES:
@@ -102,13 +104,14 @@ class FastTimingSim:
             cfg.phys_int_regs - cfg.arch_int_regs,
             cfg.phys_fp_regs - cfg.arch_fp_regs,
             cfg.cache_line.bit_length() - 1,
-            self.icache.num_sets, self.dcache.num_sets, cfg.cache_assoc,
+            *self._sets, cfg.cache_assoc,
             _PREDICTOR_ID[cfg.predictor], cfg.bht_entries,
             cfg.btb_entries, n))
 
     def run(self, batches: Iterable[tuple],
             decoded: Optional[DecodedProgram] = None) -> SimStats:
-        """Replay *batches* ((idxs, brs, mems, anns) tuples) to completion."""
+        """Replay *batches* ((idxs, brs, mems, anns) array tuples, see
+        :meth:`FastFunctionalSim.batches`) to completion."""
         dec = decoded if decoded is not None else self.decoded
         if dec is None:
             raise ValueError("FastTimingSim needs a DecodedProgram")
@@ -133,12 +136,10 @@ class FastTimingSim:
             # functional-side exceptions surface here and propagate.
             for idxs, brs, mems, anns in gen:
                 if idxs:
-                    batch = [array("i", idxs), array("b", brs),
-                             array("q", mems), array("q", anns)]
                     bufs[3:] = [
                         ffi.from_buffer(t, a) for t, a in zip(
                             ("int32_t[]", "int8_t[]", "int64_t[]",
-                             "int64_t[]"), batch)]
+                             "int64_t[]"), (idxs, brs, mems, anns))]
                     lib.tk_set_batch(sim, bufs[3], len(idxs), bufs[4],
                                      bufs[5], bufs[6], len(anns))
                     break
@@ -169,7 +170,7 @@ class FastTimingSim:
         for i, name in enumerate(UNIT_NAMES):
             st.unit_full_cycles[name] = out[_R_UFULL + i]
             st.unit_issues[name] = out[_R_UISSUES + i]
-        ist, dst = self.icache.stats, self.dcache.stats
+        ist, dst = st.icache, st.dcache
         ist.accesses, ist.misses, dst.accesses, dst.misses = \
             out[_R_CACHES:_R_CACHES + 4]
         pst = self.predictor.stats

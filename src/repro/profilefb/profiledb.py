@@ -56,8 +56,8 @@ class ProfileDB:
                  backend: str = "reference") -> "ProfileDB":
         """Profile *prog* with one functional run.
 
-        ``backend="fast"`` routes the run through the generated-step
-        executor of :mod:`repro.fastsim` (byte-identical counters,
+        ``backend="fast"`` routes the run through the native functional
+        kernel of :mod:`repro.fastsim` (byte-identical counters,
         outcome vectors and index counts; transparent reference fallback
         on fastsim-internal failures).
         """

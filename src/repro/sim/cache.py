@@ -33,23 +33,29 @@ class CacheStats:
         return cls(accesses=d["accesses"], misses=d["misses"])
 
 
+def cache_geometry(size: int, line: int, assoc: int) -> int:
+    """Number of sets of a *size*-byte cache; ValueError if invalid."""
+    if size % (line * assoc):
+        raise ValueError("size must be a multiple of line*assoc")
+    num_sets = size // (line * assoc)
+    if num_sets & (num_sets - 1):
+        raise ValueError("number of sets must be a power of two")
+    if (1 << (line.bit_length() - 1)) != line:
+        raise ValueError("line size must be a power of two")
+    return num_sets
+
+
 class Cache:
     """Tag-only set-associative cache with LRU replacement."""
 
     def __init__(self, size: int = 32 * 1024, line: int = 32, assoc: int = 1,
                  name: str = "cache"):
-        if size % (line * assoc):
-            raise ValueError("size must be a multiple of line*assoc")
+        self.num_sets = cache_geometry(size, line, assoc)
         self.name = name
         self.line = line
         self.assoc = assoc
-        self.num_sets = size // (line * assoc)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
         self._set_mask = self.num_sets - 1
         self._line_shift = line.bit_length() - 1
-        if (1 << self._line_shift) != line:
-            raise ValueError("line size must be a power of two")
         # Each set is a list of tags in LRU order (MRU last).
         self._sets: list[list[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStats()

@@ -1,9 +1,9 @@
 """The decode cache must not keep its programs alive.
 
 ``decode_program`` caches tables per program identity.  The tables, the
-generated code and the native timing tables hanging off them refer to
-their program only weakly, so once a program is garbage the cache slot
-is evicted and the program itself is collected.
+lowered functional tables and the native timing tables hanging off them
+refer to their program only weakly, so once a program is garbage the
+cache slot is evicted and the program itself is collected.
 """
 
 import gc

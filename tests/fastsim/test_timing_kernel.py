@@ -12,6 +12,8 @@
 * **Fallback.**  When the kernel cannot be built, fast cells run on the
   reference simulator with byte-identical payloads and a
   ``native-build`` record on the fallback trail.
+* **Cache geometry.**  An invalid I/D cache configuration is rejected by
+  both timing models with the same ``ValueError``.
 """
 
 import json
@@ -27,6 +29,7 @@ from repro.engine.cells import CellSpec, execute_cell
 from repro.fastsim import backend as fb
 from repro.fastsim import native
 from repro.fastsim.functional import FLUSH
+from repro.fastsim.timing import FastTimingSim
 from repro.isa.opcodes import Unit
 from repro.isa.parser import parse
 from repro.sim.config import r10k_config
@@ -162,3 +165,20 @@ def test_two_processes_build_one_kernel(cold_native):
     assert key_dir.parent == native.cache_root()
     # Only the installed extension is left: no temp build directories.
     assert [p.name for p in key_dir.iterdir()] == [Path(outs[0]).name]
+
+
+@pytest.mark.parametrize("fields", [
+    dict(icache_size=1000),                        # not line * assoc
+    dict(dcache_size=96),                          # 3 sets
+    dict(cache_line=24, icache_size=96, dcache_size=96),
+    dict(cache_assoc=3),
+    dict(dcache_size=32 * 1024 * 3, cache_assoc=3),
+])
+def test_invalid_cache_geometry_rejected_identically(fields):
+    cfg = replace(r10k_config("twobit"), **fields)
+    messages = []
+    for sim in (TimingSim, FastTimingSim):
+        with pytest.raises(ValueError) as info:
+            sim(cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]

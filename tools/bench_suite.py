@@ -36,7 +36,7 @@ submitting an identical grid concurrently (each unique cell must execute
 exactly once fleet-wide).  Written to ``BENCH_serve.json``.
 
 A seventh phase measures the **fast execution backend**
-(``repro.fastsim``): generated-step functional execution and the
+(``repro.fastsim``): native-kernel functional execution and the
 decode-once + batched-event cell path vs the reference interpreters
 (min-of-9 with the same A/A noise gate; payloads must stay
 byte-identical), plus a cold end-to-end suite run per backend.  Written
@@ -441,13 +441,14 @@ def bench_fastsim(scale: float, max_steps: int, repeats: int = 9,
     """Measure the fast execution backend against the reference simulators.
 
     Three measurements over the stock workloads at *scale*, all with the
-    engine's result cache cold (decode/codegen caches are warmed once per
-    program first — their cost is one-time per program and is charged to
-    the ``end_to_end`` figure instead):
+    engine's result cache cold (the decode and lowering caches, and the
+    native kernels, are warmed once per program first — their cost is
+    one-time per program and is charged to the ``end_to_end`` figure
+    instead):
 
     * **functional** (the headline, gated >= 10x) — one full functional
       run per workload with outcome recording on (the profiling
-      configuration), reference vs generated-step, min-of-``repeats``
+      configuration), reference vs native kernel, min-of-``repeats``
       with an A/A re-measure bounding timer noise;
     * **sim_path** (regression floor, gated >= 2.5x) — one full cell
       (functional + timing) per workload, reference pair vs
@@ -479,8 +480,9 @@ def bench_fastsim(scale: float, max_steps: int, repeats: int = 9,
     sim_path: dict[str, dict] = {}
     payloads_identical = True
     for name, prog in programs.items():
-        # Warm the decode/codegen caches for both variants (record-mode
-        # functional, trace-mode cell) before any clock starts.
+        # Warm the decode and lowering caches for both run modes
+        # (record-mode functional, trace-mode cell) before any clock
+        # starts.
         FastFunctionalSim(prog, max_steps=max_steps).run()
         fast_pair = fast_simulate(prog, config, max_steps=max_steps)
 
@@ -546,8 +548,8 @@ def bench_fastsim(scale: float, max_steps: int, repeats: int = 9,
         "scale": scale,
         "repeats": repeats,
         "max_steps": max_steps,
-        "semantics": ("engine result cache cold; decode/codegen caches "
-                      "warm (their one-time cost is charged to "
+        "semantics": ("engine result cache cold; decode and lowering "
+                      "caches warm (their one-time cost is charged to "
                       "end_to_end, which runs everything cold)"),
         "functional": {"workloads": functional, "total": func_total,
                        "noise_pct": noise_pct},

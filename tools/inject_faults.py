@@ -23,8 +23,8 @@ instructions), and (3) triaged into a stable bucket — the executable
 claim behind docs/QA.md.
 
 ``--fastsim`` sweeps the :mod:`repro.fastsim.faults` classes instead:
-each one corrupts the fast execution backend internally (broken codegen,
-stale decode tables, a crash inside generated code), and the contained
+each one corrupts the fast execution backend internally (rejected lowering,
+stale decode tables, a crash in the functional front end), and the contained
 verdict requires that (1) the run transparently fell back to the
 reference interpreter at the documented stage and (2) the resulting
 ``SimStats``/``ExecStats`` payloads are byte-identical to a pure
