@@ -24,11 +24,19 @@ emitted or verified, compilation degrades down the ladder
 
 recording which rung it landed on in ``CompileResult.fallback`` — a broken
 pass costs performance, never a crashed evaluation.
+
+Shared compiles
+---------------
+The proposed kinds (Proposed, safe-speculative, melded) differ only in
+the lowering of guarded diamonds and in the hoist guard.  Given a
+per-program ``share`` dict, :func:`compile_proposed` saves the pipeline
+state before lowering and before speculation, and a later kind resumes
+from the latest one whose key (:func:`_stage_key`) matches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..cfg.graph import CFG, build_cfg
@@ -37,7 +45,7 @@ from ..isa.program import Program
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
-from ..robust.sandbox import PassFailure, PassSandbox
+from ..robust.sandbox import PassFailure, PassSandbox, restore_cfg
 from ..robust.verifier import VerificationError, verify_program
 from ..sched.machine_model import DEFAULT_MODEL, MachineModel
 from ..sched.list_scheduler import reorder_block
@@ -200,22 +208,33 @@ def compile_proposed(prog: Program,
                      profile: ProfileDB | PassFailure | None = None,
                      max_steps: int = 20_000_000,
                      verify: bool = True,
-                     backend: str = "reference") -> CompileResult:
+                     backend: str = "reference",
+                     share: Optional[dict] = None) -> CompileResult:
     """The paper's proposed scheme, end to end, with crash containment.
 
     Pass a pre-built *profile* to skip the profiling run (e.g. to reuse one
     run across ablation variants); a :class:`PassFailure` from
     :func:`collect_profile` replays that run's failure.  *verify* runs the
-    IR verifier after every pass (rolling back passes that break an
-    invariant); disable it only for trusted perf-measurement loops.
-    *backend* selects the execution backend of the profiling run
-    (``"fast"`` uses the :mod:`repro.fastsim` native functional kernel;
-    the profile — and therefore the compile output — is byte-identical
-    either way).
+    IR verifier after every pass that produces a new IR state (rolling
+    back passes that break an invariant); disable it only for trusted
+    perf-measurement loops.  *backend* selects the execution backend of
+    the profiling run (``"fast"`` uses the :mod:`repro.fastsim` native
+    functional kernel; the profile — and therefore the compile output —
+    is byte-identical either way).
+
+    *share* is a dict the caller keeps for one program (the suite keeps
+    one per benchmark) and passes to each of its compiles.  The compiles
+    then share one profiling run (when *profile* is None) and pipeline
+    *checkpoints*: each compile resumes from the latest saved stage
+    boundary whose heuristics key matches — the fields read before that
+    boundary — instead of starting over, and a compile whose whole key
+    matches returns the earlier :class:`CompileResult` itself (treat it
+    as read-only).  Results are byte-identical to unshared compiles; see
+    docs/ROBUSTNESS.md for the stages and their keys.
     """
     with obs_span("compile.proposed", program=prog.name) as sp:
         result = _compile_proposed_inner(prog, heur, model, profile,
-                                         max_steps, verify, backend)
+                                         max_steps, verify, backend, share)
         sp.set("fallback", result.fallback)
         sp.set("failures", len(result.failures))
     if REGISTRY.enabled:
@@ -236,31 +255,178 @@ def compile_proposed(prog: Program,
     return result
 
 
+#: Spectre knobs read only under ``spectre_safe``.
+_SPECTRE_FIELDS = ("spectre_sew", "spectre_fence", "spectre_untrusted")
+
+
+def _stage_key(heur: FeedbackHeuristics, plan: Optional[DecisionPlan],
+               stage: str) -> FeedbackHeuristics:
+    """*heur* with every field the pipeline reads only from *stage* on
+    reset to its default: the heuristics key of a checkpoint.
+
+    *stage* is ``"lower"`` (if-conversion / melding), ``"speculate"``
+    (region scheduling), or ``"done"`` (the finished result).  Nothing
+    before lowering reads the meld or spectre fields; lowering reads the
+    meld fields only when *plan* has an ``ifconvert`` decision
+    (``meld_max_arm_ops`` only under ``enable_meld``); speculation reads
+    ``spectre_safe`` only when it runs, the other spectre fields only
+    under ``spectre_safe``.
+    """
+    d = DEFAULT_HEURISTICS
+    lowers = stage != "lower" and bool(plan.by_action("ifconvert"))
+    speculates = stage == "done" and heur.enable_speculation
+    reset: dict = {}
+    if not lowers:
+        reset["enable_meld"] = d.enable_meld
+    if not (lowers and heur.enable_meld):
+        reset["meld_max_arm_ops"] = d.meld_max_arm_ops
+    if not speculates:
+        reset["spectre_safe"] = d.spectre_safe
+    if not (speculates and heur.spectre_safe):
+        reset.update((f, getattr(d, f)) for f in _SPECTRE_FIELDS)
+    return replace(heur, **reset)
+
+
+def _partial(result: CompileResult,
+             failures: list[PassFailure]) -> CompileResult:
+    """A copy of an in-progress *result* with *failures* as its trail;
+    no list is shared with *result* (its decisions are never mutated)."""
+    plan, likely = result.plan, result.likely_report
+    if plan is not None:
+        plan = DecisionPlan(list(plan.decisions))
+    if likely is not None:
+        likely = replace(likely, details=list(likely.details))
+    return CompileResult(
+        program=result.program, plan=plan,
+        splits_applied=result.splits_applied,
+        ifconverts_applied=result.ifconverts_applied,
+        melds_applied=result.melds_applied, likely_report=likely,
+        profile=result.profile, failures=list(failures))
+
+
+@dataclass
+class _Checkpoint:
+    """Pipeline state at a stage boundary: the sandbox's snapshot of the
+    CFG when the stage started, its verify memo, and the partial result.
+    Read-only once saved; :meth:`resume` works on copies."""
+
+    result: CompileResult
+    verified: dict
+    snap: Optional[dict] = None
+
+    def resume(self, verify: bool) -> tuple[CFG, PassSandbox, CompileResult]:
+        cfg = CFG()
+        restore_cfg(cfg, self.snap)
+        box = PassSandbox(cfg, verify=verify, verified=self.verified)
+        result = _partial(self.result, self.result.failures)
+        box.failures = result.failures
+        return cfg, box, result
+
+
+class _SharedCompiles:
+    """The checkpoints and finished results of one program's compiles,
+    kept in a caller's ``share`` dict (:func:`compile_proposed`)."""
+
+    def __init__(self, prog: Program, profile: ProfileDB,
+                 model: MachineModel):
+        #: keeps the objects whose ids key this entry alive
+        self.refs = (prog, profile, model)
+        self.saved: dict[tuple, object] = {}
+
+    @staticmethod
+    def of(share: Optional[dict], prog: Program, profile: ProfileDB,
+           model: MachineModel, verify: bool) -> Optional["_SharedCompiles"]:
+        if share is None:
+            return None
+        key = ("compile_proposed", id(prog), id(profile), id(model), verify)
+        if key not in share:
+            share[key] = _SharedCompiles(prog, profile, model)
+        return share[key]
+
+    def get(self, stage: str, heur: FeedbackHeuristics,
+            plan: Optional[DecisionPlan] = None):
+        return self.saved.get((stage, _stage_key(heur, plan, stage)))
+
+    def save_at_next_pass(self, stage: str, heur: FeedbackHeuristics,
+                          box: PassSandbox, result: CompileResult) -> None:
+        """Save the state before *stage* from the snapshot the sandbox
+        takes at its next pass (no copy of the CFG of its own)."""
+        ck = _Checkpoint(_partial(result, box.failures), dict(box.verified))
+        key = (stage, _stage_key(heur, result.plan, stage))
+
+        def sink(snap: dict) -> None:
+            ck.snap = snap
+            self.saved[key] = ck
+
+        box.checkpoint(sink)
+
+    def save_result(self, heur: FeedbackHeuristics,
+                    result: CompileResult) -> None:
+        self.saved[("done", _stage_key(heur, result.plan, "done"))] = result
+
+
 def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
                             model: MachineModel,
                             profile: ProfileDB | PassFailure | None,
                             max_steps: int, verify: bool,
-                            backend: str = "reference") -> CompileResult:
+                            backend: str = "reference",
+                            share: Optional[dict] = None) -> CompileResult:
     result = CompileResult(program=prog)
 
     # 0. Profiling run.  Without feedback there is nothing to propose:
     #    degrade straight to the baseline schedule.
     if profile is None:
-        profile = collect_profile(prog, heur, max_steps, backend)
+        if share is None:
+            profile = collect_profile(prog, heur, max_steps, backend)
+        else:
+            pkey = ("profile", heur.classify, max_steps, backend)
+            if pkey not in share:
+                share[pkey] = collect_profile(prog, heur, max_steps, backend)
+            profile = share[pkey]
     if isinstance(profile, PassFailure):
         result.failures.append(profile)
         return _fallback_result(prog, model, result)
     result.profile = profile
 
-    try:
-        cfg = build_cfg(prog)
-    except Exception as exc:  # noqa: BLE001 - input program is broken
-        result.failures.append(PassFailure(
-            stage="build_cfg", kind="exception",
-            reason=f"{type(exc).__name__}: {exc}"))
-        return _fallback_result(prog, model, result)
+    # Resume from the latest stage boundary an earlier compile of this
+    # program saved under a matching key.
+    shared = _SharedCompiles.of(share, prog, profile, model, verify)
+    lower = shared and shared.get("lower", heur)
+    speculate = lower and shared.get("speculate", heur, lower.result.plan)
+    if speculate:
+        done = shared.get("done", heur, lower.result.plan)
+        if done is not None:
+            return done
+        cfg, box, result = speculate.resume(verify)
+    elif lower:
+        cfg, box, result = lower.resume(verify)
+    else:
+        try:
+            cfg = build_cfg(prog)
+        except Exception as exc:  # noqa: BLE001 - input program is broken
+            result.failures.append(PassFailure(
+                stage="build_cfg", kind="exception",
+                reason=f"{type(exc).__name__}: {exc}"))
+            return _fallback_result(prog, model, result)
+        box = PassSandbox(cfg, verify=verify)
+        _front(cfg, box, result, profile, heur, model)
+        if shared:
+            shared.save_at_next_pass("lower", heur, box, result)
+    if not speculate:
+        _lower(cfg, box, result, profile, heur)
+        if shared:
+            shared.save_at_next_pass("speculate", heur, box, result)
+    _schedule(cfg, box, result, profile, heur, model)
+    result = _emit(cfg, result, prog, model, verify)
+    if shared:
+        shared.save_result(heur, result)
+    return result
 
-    box = PassSandbox(cfg, verify=verify)
+
+def _front(cfg: CFG, box: PassSandbox, result: CompileResult,
+           profile: ProfileDB, heur: FeedbackHeuristics,
+           model: MachineModel) -> None:
+    """Annotate, decide (Figure 6) and split branches."""
     box.run("annotate", lambda: profile.annotate(cfg))
     forest = LoopForest(cfg)
 
@@ -269,9 +435,9 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
         plan = DecisionPlan()
     result.plan = plan
 
-    # 1. Branch splitting (changes loop structure: apply first, re-derive
-    #    the forest afterwards).  A split that declines records *why* in
-    #    the decision trail instead of dropping the reason.
+    # 1. Branch splitting.  A split that declines records *why* in the
+    #    decision trail instead of dropping the reason.  (Splitting
+    #    changes loop structure; no later stage reads the loop forest.)
     for d in plan.by_action("split"):
         box.run(f"split@bb{d.block}",
                 lambda d=d: split_from_profile(cfg, forest, d.block, profile,
@@ -279,14 +445,16 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
                 skip_exceptions=(SplitNotApplicable,))
         if box.last_ok:
             result.splits_applied += 1
-    if result.splits_applied:
-        forest = LoopForest(cfg)
 
+
+def _lower(cfg: CFG, box: PassSandbox, result: CompileResult,
+           profile: ProfileDB, heur: FeedbackHeuristics) -> None:
+    """If-convert (or meld) and convert branch-likelies."""
     # 2. If-conversion (guarded execution) — or, under the melded scheme,
     #    branch melding: the same Figure 6 "ifconvert" decisions are
     #    consumed, but the diamond is flattened into an unconditional
     #    select sequence (repro.transform.meld) instead of guarded ops.
-    for d in plan.by_action("ifconvert"):
+    for d in result.plan.by_action("ifconvert"):
         if d.block not in cfg._by_id:
             continue
         if heur.enable_meld:
@@ -309,9 +477,14 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
         result.likely_report = box.run(
             "likely", lambda: apply_branch_likely(cfg, profile))
 
-    # 4. Profile-prioritized speculation + local scheduling.  Under the
-    #    safe-speculative scheme a taint-analysis guard vets every hoist
-    #    (imported lazily: robust.spectre is an optional consumer of core).
+
+def _schedule(cfg: CFG, box: PassSandbox, result: CompileResult,
+              profile: ProfileDB, heur: FeedbackHeuristics,
+              model: MachineModel) -> None:
+    """Profile-prioritized speculation + local scheduling (or cleanup)."""
+    # 4. Under the safe-speculative scheme a taint-analysis guard vets
+    #    every hoist (imported lazily: robust.spectre is an optional
+    #    consumer of core).
     box.run("annotate", lambda: profile.annotate(cfg))
     if heur.enable_speculation:
         hoist_guard = None
@@ -336,7 +509,10 @@ def _compile_proposed_inner(prog: Program, heur: FeedbackHeuristics,
 
     result.failures = box.failures
 
-    # 5. Emission + final whole-program verification; degrade on failure.
+
+def _emit(cfg: CFG, result: CompileResult, prog: Program,
+          model: MachineModel, verify: bool) -> CompileResult:
+    """Emission + final whole-program verification; degrade on failure."""
     try:
         out = cfg.to_program(prog.name + ".proposed")
         if verify:
@@ -365,8 +541,6 @@ def compile_variant(prog: Program, *, likely: bool = True, split: bool = True,
     ``meld=True`` replaces if-conversion with branch melding (the melded
     scheme; see :mod:`repro.transform.meld`).
     """
-    from dataclasses import replace
-
     heur = replace(heur, enable_likely=likely, enable_split=split,
                    enable_ifconvert=ifconvert, enable_speculation=speculation,
                    spectre_safe=spectre, enable_meld=meld)

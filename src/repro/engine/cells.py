@@ -32,8 +32,8 @@ from typing import Optional
 
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import (CompileResult, collect_profile,
-                             compile_baseline, compile_proposed)
+from ..core.pipeline import (CompileResult, compile_baseline,
+                             compile_proposed)
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
 from ..obs.pipeline_obs import maybe_observer
@@ -128,14 +128,16 @@ def kind_heuristics(kind: str,
 
 def counted_compile(kind: str, prog: Program, heur: FeedbackHeuristics,
                     max_steps: int, backend: str = "reference",
-                    profile=None) -> CompileResult:
+                    share: Optional[dict] = None) -> CompileResult:
     """Compile *prog* for a pipeline *kind*, incrementing the counter.
 
-    Each kind shares nothing with the ``"prop"`` compile memo because its
+    Each kind has its own entry in a benchmark's compile memo because its
     toggle (:func:`kind_heuristics`) changes the emitted code.
     ``backend="fast"`` runs the profiling pass of proposed-pipeline
     compiles on the native functional kernel (byte-identical profiles);
-    *profile* (see :func:`~repro.core.pipeline.collect_profile`) skips it.
+    *share* is the benchmark's memo, through which the proposed kinds
+    share one profiling run and the pipeline stages they have in common
+    (see :func:`~repro.core.pipeline.compile_proposed`).
     """
     COUNTERS.compiles += 1
     REGISTRY.inc("engine.compiles")
@@ -143,7 +145,7 @@ def counted_compile(kind: str, prog: Program, heur: FeedbackHeuristics,
         return compile_baseline(prog)
     return compile_proposed(prog, heur=kind_heuristics(kind, heur),
                             max_steps=max_steps, backend=backend,
-                            profile=profile)
+                            share=share)
 
 
 def counted_simulate(prog: Program, config: MachineConfig,
@@ -266,8 +268,9 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
     already holds the Program (in-process fast path).  *compile_memo*
     shares successful compiles across the cells of one benchmark (the
     2bitBP and PerfectBP columns reuse the same baseline compile), and
-    one profiling run across its proposed-pipeline kinds, exactly as the
-    serial runner does; failed compiles are retried per cell.
+    one profiling run and the common pipeline stages across its
+    proposed-pipeline kinds, exactly as the serial runner does; failed
+    compiles are retried per cell.
 
     With ``spec.strict`` the first exception propagates; otherwise the
     cell is retried once and then recorded as a failure payload.
@@ -287,15 +290,8 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                     bk = {"backend": spec.backend} \
                         if spec.backend != "reference" else {}
                     if spec.kind not in memo:
-                        shared = {}
-                        if spec.kind != "base":
-                            pkey = ("profile", spec.heur.classify,
-                                    spec.max_steps, spec.backend)
-                            if pkey not in memo:
-                                memo[pkey] = collect_profile(
-                                    prog, spec.heur, spec.max_steps,
-                                    spec.backend)
-                            shared["profile"] = memo[pkey]
+                        shared = {"share": memo} if spec.kind != "base" \
+                            else {}
                         memo[spec.kind] = counted_compile(
                             spec.kind, prog, spec.heur, spec.max_steps,
                             **bk, **shared)

@@ -99,14 +99,22 @@ def _run_serial(specs: list[CellSpec],
     benchmark: the suite's cells are heur-homogeneous per benchmark, but
     :mod:`repro.tune` batches *different* candidate vectors of the same
     benchmark through one call, and those must never share a compile.
+    A memo (compiles and pipeline checkpoints) is dropped after the last
+    cell that uses it.
     """
+    def memo_key(spec: CellSpec) -> tuple:
+        return (spec.benchmark, spec.heur, spec.max_steps, spec.backend)
+
+    last_use = {memo_key(spec): i for i, spec in enumerate(specs)}
     memos: dict[tuple, dict] = defaultdict(dict)
     out = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         prog = (programs or {}).get(spec.benchmark)
-        memo_key = (spec.benchmark, spec.heur, spec.max_steps, spec.backend)
+        key = memo_key(spec)
         out.append(execute_cell(spec, program=prog,
-                                compile_memo=memos[memo_key]))
+                                compile_memo=memos[key]))
+        if last_use[key] == i:
+            del memos[key]
     return out
 
 

@@ -35,8 +35,8 @@ from typing import Callable, Optional
 from .._deprecation import deprecated
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..core.pipeline import (CompileResult, collect_profile,
-                             compile_baseline, compile_proposed)
+from ..core.pipeline import (CompileResult, compile_baseline,
+                             compile_proposed)
 from ..engine.cells import COUNTERS, kind_heuristics
 from ..isa.program import Program
 from ..obs.pipeline_obs import maybe_observer
@@ -219,10 +219,10 @@ def run_benchmark_impl(name: str, prog: Program,
     run = BenchmarkRun(name=name)
 
     # Compiles are shared across cells, and the proposed-pipeline kinds
-    # share one profiling run (failure included); a failed compile fails
-    # only the cells that need its output.
-    compiles: dict[str, Optional[CompileResult]] = {}
-    profiles: dict = {}     # heur.classify -> collect_profile() result
+    # share one profiling run (failure included) and the pipeline stages
+    # they have in common (compile_proposed's *share*); a failed compile
+    # fails only the cells that need its output.
+    compiles: dict = {}
 
     def _compiled(kind: str) -> CompileResult:
         if kind not in compiles:
@@ -230,13 +230,9 @@ def run_benchmark_impl(name: str, prog: Program,
             if kind == "base":
                 compiles[kind] = compile_baseline(prog)
             else:
-                if heur.classify not in profiles:
-                    profiles[heur.classify] = collect_profile(
-                        prog, heur, max_steps, backend)
                 compiles[kind] = compile_proposed(
                     prog, heur=kind_heuristics(kind, heur),
-                    max_steps=max_steps, backend=backend,
-                    profile=profiles[heur.classify])
+                    max_steps=max_steps, backend=backend, share=compiles)
         return compiles[kind]
 
     def _cell(scheme: str, kind: str, predictor: str) -> SchemeResult:

@@ -12,6 +12,14 @@ of the whole compile (or the whole evaluation suite) aborting.
 
 This is the discipline production compilers apply around unproven passes:
 contain, diagnose, fall back.
+
+The verifier runs after every pass that produces a new IR state: each
+sandbox memoizes :func:`verify_cfg` results by :func:`ir_key` (the IR
+content the verifier reads), so a pass that leaves the IR as it was
+(``annotate``, ``decide``, a branch-likely pass that converts nothing)
+is not re-verified.  The memo belongs to one sandbox, i.e. one compile;
+a compile resuming from a checkpoint (:meth:`PassSandbox.checkpoint`)
+seeds its sandbox with the checkpoint's memo.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Any, Callable, Optional
 
 from ..cfg.basic_block import BasicBlock
 from ..cfg.graph import CFG, Edge
+from ..isa.instruction import Instruction
 from ..obs.trace import span as obs_span
 from .verifier import Violation, verify_cfg
 
@@ -56,11 +65,24 @@ class PassFailure:
                    detail=d["detail"], rolled_back=d["rolled_back"])
 
 
+def _copy(ins: Instruction) -> Instruction:
+    """Field-for-field copy of *ins*: same uid, shallow-copied ``ann``.
+
+    Skips :meth:`Instruction.__post_init__`: the opcode and registers
+    were validated when *ins* was built, and the cached opcode metadata
+    is carried over with the fields.
+    """
+    c = object.__new__(Instruction)
+    c.__dict__.update(ins.__dict__)
+    c.ann = dict(ins.ann)
+    return c
+
+
 def snapshot_cfg(cfg: CFG) -> dict[str, Any]:
     """Capture everything a pass may mutate, preserving block ids."""
     return {
         "blocks": [
-            (bb.bid, bb.label, [ins.clone() for ins in bb.instructions],
+            (bb.bid, bb.label, [_copy(ins) for ins in bb.instructions],
              bb.freq)
             for bb in cfg.blocks
         ],
@@ -78,6 +100,8 @@ def restore_cfg(cfg: CFG, snap: dict[str, Any]) -> None:
 
     In-place so that references held by callers (profiles, loop forests
     rebuilt afterwards, decision plans keyed by block id) stay meaningful.
+    The capture itself is left untouched, so one snapshot can be restored
+    any number of times (rollback, or a compile resuming from it).
     """
     cfg.name = snap["name"]
     cfg.blocks = []
@@ -86,7 +110,7 @@ def restore_cfg(cfg: CFG, snap: dict[str, Any]) -> None:
     cfg.pred_edges = {}
     for bid, label, instrs, freq in snap["blocks"]:
         bb = BasicBlock(bid=bid, label=label,
-                        instructions=[ins.clone() for ins in instrs],
+                        instructions=[_copy(ins) for ins in instrs],
                         freq=freq)
         cfg.blocks.append(bb)
         cfg._by_id[bid] = bb
@@ -100,6 +124,27 @@ def restore_cfg(cfg: CFG, snap: dict[str, Any]) -> None:
     cfg.data_symbols = dict(snap["data_symbols"])
     cfg.data_image = dict(snap["data_image"])
     cfg.code_refs = dict(snap["code_refs"])
+
+
+def ir_key(cfg: CFG) -> tuple:
+    """Content key of everything :func:`verify_cfg` reads from *cfg*.
+
+    Block order, ids and labels; each instruction's op, operands, target
+    and guard; each successor edge's destination and kind; the data
+    tables and code references.  Frequencies and ``ann`` are excluded:
+    the verifier never reads them, so a pass that only re-annotates
+    (``annotate``) leaves the key unchanged.
+    """
+    return (
+        tuple((bb.bid, bb.label,
+               tuple((i.op, i.dest, i.srcs, i.imm, i.target, i.guard)
+                     for i in bb.instructions),
+               tuple((e.dst, e.kind) for e in cfg.succ_edges[bb.bid]))
+              for bb in cfg.blocks),
+        tuple(cfg.data_symbols.items()),
+        tuple(cfg.data_image.items()),
+        tuple(cfg.code_refs.items()),
+    )
 
 
 class PassSandbox:
@@ -118,12 +163,18 @@ class PassSandbox:
     """
 
     def __init__(self, cfg: CFG, *, verify: bool = True,
-                 max_failures: int = 64):
+                 max_failures: int = 64,
+                 verified: Optional[dict] = None):
         self.cfg = cfg
         self.verify = verify
         self.max_failures = max_failures
         self.failures: list[PassFailure] = []
         self.last_ok: bool = True
+        #: :func:`verify_cfg` result of each IR state this sandbox has
+        #: checked, by :func:`ir_key`; *verified* seeds it (a compile
+        #: resuming from a checkpoint inherits the checkpoint's memo)
+        self.verified: dict[tuple, list[Violation]] = dict(verified or {})
+        self._on_snapshot: Optional[Callable[[dict], None]] = None
 
     # -- recording -------------------------------------------------------------
 
@@ -137,6 +188,27 @@ class PassSandbox:
             self.failures.append(failure)
 
     # -- execution -------------------------------------------------------------
+
+    def checkpoint(self, sink: Callable[[dict], None]) -> None:
+        """Hand the snapshot the next :meth:`run` takes to *sink*.
+
+        *sink* receives the pre-stage snapshot before the stage runs, so
+        a caller can keep the state at a stage boundary without a copy of
+        its own.  The snapshot must be treated as read-only; restore it
+        with :func:`restore_cfg`.
+        """
+        self._on_snapshot = sink
+
+    def _verify(self) -> list[Violation]:
+        """:func:`verify_cfg` of the current CFG, once per IR state."""
+        try:
+            key = ir_key(self.cfg)
+            found = self.verified.get(key)
+        except Exception:  # noqa: BLE001 - too broken to key: check uncached
+            return verify_cfg(self.cfg)
+        if found is None:
+            found = self.verified[key] = verify_cfg(self.cfg)
+        return found
 
     def run(self, stage: str, fn: Callable[[], Any],
             skip_exceptions: tuple = ()) -> Any:
@@ -154,6 +226,9 @@ class PassSandbox:
         """
         with obs_span("pass." + stage.split("@", 1)[0], stage=stage) as sp:
             snap = snapshot_cfg(self.cfg)
+            if self._on_snapshot is not None:
+                sink, self._on_snapshot = self._on_snapshot, None
+                sink(snap)
             try:
                 result = fn()
             except skip_exceptions as exc:
@@ -174,7 +249,7 @@ class PassSandbox:
                 sp.set("outcome", "exception")
                 return None
             if self.verify:
-                violations = verify_cfg(self.cfg)
+                violations = self._verify()
                 if violations:
                     restore_cfg(self.cfg, snap)
                     self.last_ok = False

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..cfg.graph import CFG, build_cfg
-from ..isa.instruction import Instruction
-from ..isa.opcodes import Fmt
+from ..isa.opcodes import OPCODES, Fmt
 from ..isa.program import Program
 from ..isa.registers import is_cc_reg, is_fp_reg, is_int_reg, is_register
 
@@ -76,36 +75,38 @@ _FP_SRCS = {"fadd", "fsub", "fmul", "fdiv", "fmov", "fneg",
 _CC_BRANCHES = {"bct", "bcf", "bctl", "bcfl"}
 
 
-def _expected_classes(ins: Instruction) -> tuple[Optional[str], list[str]]:
-    """Return (dest_class, [src_class, ...]) for *ins*, where each class is
-    ``"int"``, ``"fp"`` or ``"cc"`` (None when no destination)."""
-    op, fmt = ins.op, ins.info.fmt
-    n = len(ins.srcs)
+def _register_classes(op: str, fmt: Fmt) -> tuple[Optional[str],
+                                                  tuple[str, ...],
+                                                  Optional[str]]:
+    """Register classes opcode *op* expects: ``(dest, head, rest)``.
+
+    *dest* is the destination's class (checked only when the instruction
+    has one), *head* the classes of the leading sources, and *rest* the
+    class of every source past *head* (None: those are not checked).
+    Classes are ``"int"``, ``"fp"`` or ``"cc"``.
+    """
     if op in _FP_DEST or op in _FP_SRCS:
         dest = "fp" if op in _FP_DEST else (
             "cc" if op.startswith("fcmp") else "int")
         if op == "lwf":
-            srcs = ["int"]
-        elif op == "swf":
-            srcs = ["fp", "int"]
-        elif op in _FP_SRCS:
-            srcs = ["fp"] * n
-        else:  # cvtif
-            srcs = ["int"] * n
-        return (dest if ins.dest is not None else None), srcs
+            return dest, ("int",), None
+        return dest, (), "fp" if op in _FP_SRCS else "int"  # else cvtif
     if fmt == Fmt.CMP:
-        return "cc", ["int"] * n
+        return "cc", (), "int"
     if fmt in (Fmt.CCLOGIC1, Fmt.CCLOGIC2):
-        return "cc", ["cc"] * n
+        return "cc", (), "cc"
     if fmt == Fmt.CMOVCC:
-        return "int", ["int", "cc"][:n]
+        return "int", ("int", "cc"), None
     if fmt in (Fmt.BRANCH1, Fmt.BRANCH2):
-        cls = "cc" if op in _CC_BRANCHES else "int"
-        return None, [cls] * n
+        return None, (), "cc" if op in _CC_BRANCHES else "int"
     # Everything else (RRR/RRI/RI/RR/LOAD/STORE/JR/JALR/JUMP/CMOVR/NONE)
     # moves integer values.
-    return ("int" if ins.dest is not None else None), ["int"] * n
+    return "int", (), "int"
 
+
+#: :func:`_register_classes` of every opcode, built once.
+_REG_CLASSES = {op: _register_classes(op, info.fmt)
+                for op, info in OPCODES.items()}
 
 _CLASS_CHECK = {"int": is_int_reg, "fp": is_fp_reg, "cc": is_cc_reg}
 
@@ -143,22 +144,28 @@ def _check_targets(prog: Program) -> Iterable[Violation]:
 def _check_registers(prog: Program) -> Iterable[Violation]:
     for i, ins in enumerate(prog.instructions):
         where = f"instr {i} ({ins.op})"
-        regs = [("dest", ins.dest)] if ins.dest is not None else []
-        regs += [(f"src{k}", s) for k, s in enumerate(ins.srcs)]
-        bad_name = False
-        for role, reg in regs:
-            if not is_register(reg):
-                yield Violation("registers", where,
-                                f"{role} {reg!r} is not a register")
-                bad_name = True
-        if bad_name:
+        dest, srcs = ins.dest, ins.srcs
+        if not all(map(is_register, srcs)) \
+                or (dest is not None and not is_register(dest)):
+            roles = [("dest", dest)] if dest is not None else []
+            roles += [(f"src{k}", s) for k, s in enumerate(srcs)]
+            for role, reg in roles:
+                if not is_register(reg):
+                    yield Violation("registers", where,
+                                    f"{role} {reg!r} is not a register")
             continue
-        dest_cls, src_cls = _expected_classes(ins)
-        if dest_cls is not None and ins.dest is not None \
-                and not _CLASS_CHECK[dest_cls](ins.dest):
+        classes = _REG_CLASSES.get(ins.op)
+        if classes is None:  # op rewritten in place after construction
+            classes = _register_classes(ins.op, ins.info.fmt)
+        dest_cls, head, rest = classes
+        if dest_cls is not None and dest is not None \
+                and not _CLASS_CHECK[dest_cls](dest):
             yield Violation("registers", where,
-                            f"dest {ins.dest!r} not in class {dest_cls!r}")
-        for k, (reg, cls) in enumerate(zip(ins.srcs, src_cls)):
+                            f"dest {dest!r} not in class {dest_cls!r}")
+        for k, reg in enumerate(srcs):
+            cls = head[k] if k < len(head) else rest
+            if cls is None:
+                break
             if not _CLASS_CHECK[cls](reg):
                 yield Violation("registers", where,
                                 f"src{k} {reg!r} not in class {cls!r}")
