@@ -16,8 +16,8 @@ import os
 
 import pytest
 
+from repro.api import Session
 from repro.engine import ArtifactCache
-from repro.eval import run_suite
 
 #: Scale factor for benchmark-suite runs (1.0 = the default workload sizes
 #: used in EXPERIMENTS.md; reduced here to keep the harness quick).
@@ -27,5 +27,6 @@ SUITE_SCALE = 0.3
 @pytest.fixture(scope="session")
 def suite_runs():
     """The full Tables-3/4 sweep: 4 benchmarks x 3 schemes, cached."""
-    return run_suite(scale=SUITE_SCALE, cache=ArtifactCache(),
-                     jobs=int(os.environ.get("REPRO_JOBS", "1")))
+    return Session(cache=ArtifactCache(),
+                   jobs=int(os.environ.get("REPRO_JOBS", "1"))).run_suite(
+        scale=SUITE_SCALE)

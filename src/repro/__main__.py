@@ -64,7 +64,8 @@ import sys
 from pathlib import Path
 
 from .api import Session
-from .core import compile_baseline, compile_proposed
+from .core import DEFAULT_HEURISTICS, compile_baseline, compile_proposed
+from .engine.cells import SCHEME_PLAN, counted_compile
 from .eval import (
     format_improvements, format_table1, format_table2, format_table3,
     format_table4, suite_failures,
@@ -72,8 +73,15 @@ from .eval import (
 from .isa import format_program, parse
 from .isa.program import Program
 from .profilefb import ProfileDB
-from .sim import FunctionalSim, TimingSim, r10k_config
+from .sim import r10k_config
 from .workloads import BENCHMARKS
+
+#: ``run --scheme`` choices with a compile: the pipeline kind of each
+#: (``baseline``, then the SCHEME_PLAN rows of the proposed pipeline by
+#: lowercased scheme name).  ``raw`` simulates the program untouched.
+RUN_KINDS = {"baseline": "base",
+             **{scheme.lower(): kind for scheme, kind, _ in SCHEME_PLAN
+                if kind != "base"}}
 
 
 def _load_program(name: str, scale: float) -> Program:
@@ -233,7 +241,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
                          timeout=args.timeout)
     try:
         if args.no_wait:
-            from .core.heuristics import DEFAULT_HEURISTICS
             from .workloads import benchmark_programs
 
             from .fastsim.backend import resolve_backend
@@ -540,43 +547,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     if scheme is None:  # legacy flags
         scheme = ("proposed" if args.proposed
                   else "raw" if args.raw else "baseline")
-    if scheme == "proposed":
-        prog = compile_proposed(prog).program
-    elif scheme == "safe-speculative":
-        from dataclasses import replace
-
-        from .core.heuristics import DEFAULT_HEURISTICS
-
-        prog = compile_proposed(
-            prog, heur=replace(DEFAULT_HEURISTICS,
-                               spectre_safe=True)).program
-    elif scheme == "melded":
-        from dataclasses import replace
-
-        from .core.heuristics import DEFAULT_HEURISTICS
-
-        prog = compile_proposed(
-            prog, heur=replace(DEFAULT_HEURISTICS,
-                               enable_meld=True)).program
-    elif scheme == "baseline":
-        prog = compile_baseline(prog).program
-    # scheme == "raw": simulate the program untouched
+    max_steps = 20_000_000  # the simulators' default budget
+    if scheme in RUN_KINDS:  # "raw": simulate the program untouched
+        prog = counted_compile(RUN_KINDS[scheme], prog, DEFAULT_HEURISTICS,
+                               max_steps).program
     observer = None
     if args.sample:
         from .obs import PipelineObserver
 
         observer = PipelineObserver(sample_interval=args.sample)
-    from .fastsim.backend import resolve_backend
+    from .fastsim import backend as fastsim
 
-    if resolve_backend(getattr(args, "backend", None)) == "fast" \
+    config = r10k_config(args.predictor)
+    if fastsim.resolve_backend(getattr(args, "backend", None)) == "fast" \
             and observer is None:
-        from .fastsim.backend import simulate as fast_simulate
-
-        stats, _ = fast_simulate(prog, r10k_config(args.predictor))
+        stats, _ = fastsim.simulate(prog, config, max_steps)
     else:
-        fsim = FunctionalSim(prog, record_outcomes=False)
-        stats = TimingSim(r10k_config(args.predictor),
-                          observer=observer).run(fsim.trace())
+        stats, _ = fastsim._reference_simulate(prog, config, max_steps,
+                                               observer)
     print(f"program    : {prog.name}")
     print(f"predictor  : {args.predictor}")
     print(stats.summary())
@@ -962,8 +950,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--predictor", default="twobit",
                    choices=["twobit", "twolevel", "perfect", "static-taken"])
     p.add_argument("--scheme", default=None,
-                   choices=["raw", "baseline", "proposed",
-                            "safe-speculative", "melded"],
+                   choices=["raw", *RUN_KINDS],
                    help="compilation scheme before simulating "
                         "(safe-speculative = proposed with Spectre-flagged "
                         "hoists fenced; melded = proposed with if-converted "

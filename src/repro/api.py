@@ -1,10 +1,9 @@
 """The unified experiment front door: :class:`Session` + :class:`RunOptions`.
 
-After PRs 1–3 the repository had four overlapping ways to run an
-experiment (``eval.run_benchmark``, ``eval.run_suite``,
-``engine.run_sweep``, ``qa.run_campaign``), each with slightly different
-signatures for the same knobs.  PR 4 consolidated them behind
-:class:`Session`; this module now goes one step further and bundles every
+:class:`Session` is the one way to run an experiment: it calls the
+implementations (``eval.runner.run_benchmark_impl``,
+``engine.suite.run_suite``, ``engine.sweep.run_sweep_impl``,
+``qa.campaign.run_campaign_impl``, ``tune.run_tune``) and bundles every
 *execution* knob — worker count, artifact cache, execution backend,
 observability sinks, remote routing — into one frozen
 :class:`RunOptions` value held once per session.  Every experiment
@@ -48,7 +47,6 @@ from dataclasses import dataclass, fields as dc_fields, replace as dc_replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from ._deprecation import resolve_impl
 from .core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from .engine.suite import CacheLike, coerce_cache
 from .obs import metrics as _metrics
@@ -316,16 +314,16 @@ class Session:
                       max_steps: Optional[int] = None,
                       strict: Optional[bool] = None,
                       options: Optional[RunOptions] = None):
-        """Run every evaluation scheme on one program (serial, uncached)."""
-        from .eval import runner as _runner
+        """Run every evaluation scheme on one program (in-process,
+        uncached)."""
+        from .eval.runner import run_benchmark_impl
 
         opts = self._resolve(options, max_steps=max_steps, strict=strict)
-        fn = resolve_impl(_runner.run_benchmark)
-        backend = opts.resolve_backend()
-        extra = {"backend": backend} if backend != "reference" else {}
-        return fn(name, prog, heur=self.heur,
-                  config_overrides=self.config_overrides or None,
-                  max_steps=opts.max_steps, strict=opts.strict, **extra)
+        return run_benchmark_impl(
+            name, prog, heur=self.heur,
+            config_overrides=self.config_overrides or None,
+            max_steps=opts.max_steps, strict=opts.strict,
+            backend=opts.resolve_backend())
 
     def run_suite(self, scale: float = 1.0, *,
                   benchmarks: Optional[dict] = None,
@@ -378,13 +376,12 @@ class Session:
                                     progress=progress,
                                     timeout=opts.timeout,
                                     backend=opts.resolve_backend())
-        from .engine import sweep as _sweep
+        from .engine.sweep import run_sweep_impl
 
-        fn = resolve_impl(_sweep.run_sweep)
-        backend = opts.resolve_backend()
-        extra = {"backend": backend} if backend != "reference" else {}
-        return fn(spec, jobs=opts.jobs, cache=self._cache_of(opts),
-                  progress=progress, timeout=opts.timeout, **extra)
+        return run_sweep_impl(spec, jobs=opts.jobs,
+                              cache=self._cache_of(opts), progress=progress,
+                              timeout=opts.timeout,
+                              backend=opts.resolve_backend())
 
     def fuzz(self, cfg=None, *,
              progress: Optional[Callable[[str], None]] = None,
@@ -407,8 +404,8 @@ class Session:
             from .serve.client import remote_fuzz_executor
 
             executor = remote_fuzz_executor(self._client_of(opts))
-        fn = resolve_impl(_campaign.run_campaign)
-        return fn(cfg, progress=progress, executor=executor)
+        return _campaign.run_campaign_impl(cfg, progress=progress,
+                                           executor=executor)
 
     def tune(self, spec, *,
              progress: Optional[Callable[[str], None]] = None,

@@ -45,7 +45,8 @@ from ..isa.program import Program
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
-from ..robust.sandbox import PassFailure, PassSandbox, restore_cfg
+from ..robust.sandbox import (CellTimeout, PassFailure, PassSandbox,
+                              restore_cfg)
 from ..robust.verifier import VerificationError, verify_program
 from ..sched.machine_model import DEFAULT_MODEL, MachineModel
 from ..sched.list_scheduler import reorder_block
@@ -197,6 +198,8 @@ def collect_profile(prog: Program,
         with obs_span("pass.profile", program=prog.name):
             return ProfileDB.from_run(prog, max_steps=max_steps,
                                       config=heur.classify, backend=backend)
+    except CellTimeout:
+        raise
     except Exception as exc:  # noqa: BLE001
         return PassFailure(stage="profile", kind="exception",
                            reason=f"{type(exc).__name__}: {exc}")
@@ -519,6 +522,8 @@ def _emit(cfg: CFG, result: CompileResult, prog: Program,
             violations = verify_program(out)
             if violations:
                 raise VerificationError(violations, name=out.name)
+    except CellTimeout:
+        raise
     except Exception as exc:  # noqa: BLE001
         result.failures.append(PassFailure(
             stage="emit", kind="exception" if not isinstance(

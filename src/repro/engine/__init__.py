@@ -8,13 +8,13 @@ run, turned into a proper execution engine:
 * :mod:`~repro.engine.cache` — content-addressed on-disk artifact store
   (``.repro-cache/`` or ``$REPRO_CACHE_DIR``) with atomic writes,
   corrupted-entry recovery, and size-capped LRU eviction;
-* :mod:`~repro.engine.cells` — the picklable unit of work (one
-  benchmark × scheme cell) with crash containment, retry, and an optional
-  per-attempt timeout;
+* :mod:`~repro.engine.cells` — the scheme plan, the picklable unit of
+  work (one benchmark × scheme cell), and the one cell executor, with
+  crash containment, retry, and an optional per-attempt timeout;
 * :mod:`~repro.engine.pool` — process-pool fan-out with an in-process
   fallback at ``jobs=1`` and worker-death recovery;
-* :mod:`~repro.engine.suite` — the cached/parallel three-scheme suite
-  runner that ``repro.eval.run_suite`` delegates to;
+* :mod:`~repro.engine.suite` — the cached/parallel suite runner behind
+  ``Session.run_suite``;
 * :mod:`~repro.engine.sweep` — declarative cartesian design-space sweeps
   reusing the same cache and pool.
 
@@ -35,7 +35,7 @@ from .keys import (
 )
 from .pool import PoolDecision, execution_mode, run_cells, run_tasks
 from .suite import coerce_cache, run_suite
-from .sweep import SweepSpec, grid_from_dict, run_sweep
+from .sweep import SweepSpec, grid_from_dict
 
 __all__ = [
     "ArtifactCache", "CacheCounters", "default_cache_dir",
@@ -45,5 +45,5 @@ __all__ = [
     "program_digest", "program_fingerprint",
     "PoolDecision", "execution_mode", "run_cells", "run_tasks",
     "coerce_cache", "run_suite",
-    "SweepSpec", "grid_from_dict", "run_sweep",
+    "SweepSpec", "grid_from_dict",
 ]

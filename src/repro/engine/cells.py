@@ -1,21 +1,23 @@
-"""Evaluation cells: the unit of cached / parallel work.
+"""Evaluation cells: the unit of cached / parallel work, and its one executor.
 
 One *cell* is one (benchmark, scheme) table entry: compile the program for
 the scheme's pipeline kind, simulate it under the scheme's predictor, and
 return statistics.  :class:`CellSpec` is a fully picklable description of
 a cell (the program travels as printed assembly + data tables, because
-:class:`~repro.isa.program.Program` objects are not picklable), and
-:func:`execute_cell` runs one — either in-process or inside a worker
-process of :mod:`repro.engine.pool`.
+:class:`~repro.isa.program.Program` objects are not picklable).
+:func:`run_cell` is the only code that runs one: the suite (every
+``jobs`` value), ``Session.run_benchmark``, tune and the service all
+reach it, in-process or through :func:`execute_cell`, the worker-process
+entry of :mod:`repro.engine.pool` and :mod:`repro.serve`.
 
-Containment semantics mirror the serial runner exactly (PR 1): a cell
-that raises is retried once, then reported as a ``failure`` record the
-tables render as ``FAIL(<reason>)``.  When ``timeout`` is set, each
-attempt is additionally bounded by a :class:`_watchdog` timer that
-raises :class:`CellTimeout` inside the executing thread — it works in
-*any* thread (the service workers of :mod:`repro.serve` run cells on
-threads, where the former ``SIGALRM`` scheme was a silent no-op), and a
-fired watchdog is just another contained failure.
+Containment: a cell that raises is retried once, then reported as a
+failed :class:`SchemeResult` the tables render as ``FAIL(<reason>)``.
+When ``timeout`` is set, each attempt is additionally bounded by a
+:class:`_watchdog` timer that raises :class:`CellTimeout` inside the
+executing thread — it works in *any* thread (the service workers of
+:mod:`repro.serve` run cells on threads, where the former ``SIGALRM``
+scheme was a silent no-op), and a fired watchdog is just another
+contained failure.
 
 :data:`COUNTERS` counts every *actual* compile and simulation performed
 in this process — the engine's warm-cache acceptance test asserts these
@@ -34,20 +36,25 @@ from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..core.pipeline import (CompileResult, compile_baseline,
                              compile_proposed)
+from ..fastsim import backend as fastsim
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
-from ..obs.pipeline_obs import maybe_observer
 from ..obs.trace import span as obs_span
+from ..robust.sandbox import CellTimeout
 from ..sim.config import MachineConfig, r10k_config
-from ..sim.functional import ExecStats, FunctionalSim
-from ..sim.pipeline import TimingSim
+from ..sim.functional import ExecStats
 from ..sim.stats import SimStats
 
-#: The paper's three schemes — plus the speculative-safety variant of the
-#: proposed one (PR 6) and the branch-melding variant (``melded``: arms
-#: flattened into native conditional-move selects, repro.transform.meld)
-#: — as (scheme, pipeline kind, predictor) rows: the canonical plan the
-#: suite, cache keys, and workers all share.
+#: The evaluation's schemes as (scheme, pipeline kind, predictor) rows,
+#: in the paper's column order: ``2bitBP`` (native code, 2-bit
+#: prediction), ``Proposed`` (branch splitting + guarded execution +
+#: branch-likelies + prioritized speculation, same predictor),
+#: ``PerfectBP`` (native code, perfect prediction), plus the
+#: speculative-safety variant of Proposed (every Spectre-flagged hoist
+#: fenced, repro.robust.spectre) and the branch-melding variant (arms
+#: flattened into native conditional-move selects, repro.transform.meld).
+#: The one definition of the scheme set: the suite, the tables, tune,
+#: the CLI, cache keys and workers all derive theirs from it.
 SCHEME_PLAN = (
     ("2bitBP", "base", "twobit"),
     ("Proposed", "prop", "twobit"),
@@ -79,10 +86,6 @@ class EngineCounters:
 COUNTERS = EngineCounters()
 
 
-class CellTimeout(RuntimeError):
-    """A cell attempt exceeded its wall-clock budget."""
-
-
 @dataclass(frozen=True)
 class CellSpec:
     """Picklable description of one evaluation cell."""
@@ -104,9 +107,73 @@ class CellSpec:
         return r10k_config(self.predictor, **dict(self.config_overrides))
 
 
+@dataclass
+class SchemeResult:
+    """One (benchmark, scheme) cell of the evaluation.
+
+    A failed cell carries ``failure`` (one-line reason) instead of stats;
+    check :attr:`ok` before dereferencing ``stats``/``exec_stats``.
+    """
+
+    benchmark: str
+    scheme: str
+    stats: Optional[SimStats] = None
+    exec_stats: Optional[ExecStats] = None
+    compile_result: Optional[CompileResult] = None
+    failure: Optional[str] = None
+    failure_detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        """True when the cell produced statistics."""
+        return self.failure is None and self.stats is not None
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form: the engine's artifact-cache payload, the
+        worker and service wire payload, and the ``tables --json`` record
+        for this cell."""
+        return serde.stamp({
+            "benchmark": self.benchmark,
+            "scheme": self.scheme,
+            "stats": self.stats.to_dict() if self.stats else None,
+            "exec_stats": (self.exec_stats.to_dict()
+                           if self.exec_stats else None),
+            "compile_result": (self.compile_result.to_dict()
+                               if self.compile_result else None),
+            "failure": self.failure,
+            "failure_detail": self.failure_detail,
+        })
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SchemeResult":
+        """Inverse of :meth:`to_dict` (schema-version checked)."""
+        serde.check(d, "SchemeResult")
+        return cls(
+            benchmark=d["benchmark"],
+            scheme=d["scheme"],
+            stats=SimStats.from_dict(d["stats"]) if d["stats"] else None,
+            exec_stats=(ExecStats.from_dict(d["exec_stats"])
+                        if d["exec_stats"] else None),
+            compile_result=(CompileResult.from_dict(d["compile_result"])
+                            if d["compile_result"] else None),
+            failure=d["failure"],
+            failure_detail=d["failure_detail"],
+        )
+
+
 def overrides_as_items(config_overrides: Optional[dict]) -> tuple:
     """Normalize a config-override dict into sorted picklable pairs."""
     return tuple(sorted((config_overrides or {}).items()))
+
+
+def benchmark_cells(name: str, program: dict, **fields) -> list[CellSpec]:
+    """One benchmark's row of the grid: a :class:`CellSpec` per
+    :data:`SCHEME_PLAN` row, in column order.  *program* is the
+    ``Program.to_dict()`` payload; *fields* are the remaining
+    :class:`CellSpec` fields, shared by every cell of the row."""
+    return [CellSpec(benchmark=name, scheme=scheme, kind=kind,
+                     predictor=predictor, program=program, **fields)
+            for scheme, kind, predictor in SCHEME_PLAN]
 
 
 def kind_heuristics(kind: str,
@@ -162,13 +229,8 @@ def counted_simulate(prog: Program, config: MachineConfig,
     COUNTERS.simulates += 1
     REGISTRY.inc("engine.simulates")
     if backend == "fast":
-        from ..fastsim.backend import simulate as fast_simulate
-
-        return fast_simulate(prog, config, max_steps=max_steps)
-    fsim = FunctionalSim(prog, max_steps=max_steps, record_outcomes=False)
-    tsim = TimingSim(config, observer=maybe_observer())
-    stats = tsim.run(fsim.trace())
-    return stats, fsim.stats
+        return fastsim.simulate(prog, config, max_steps=max_steps)
+    return fastsim._reference_simulate(prog, config, max_steps)
 
 
 def _short_reason(exc: BaseException) -> str:
@@ -176,16 +238,6 @@ def _short_reason(exc: BaseException) -> str:
     text = str(exc).splitlines()[0] if str(exc) else ""
     name = type(exc).__name__
     return f"{name}: {text}"[:80] if text else name
-
-
-def _failure_payload(benchmark: str, scheme: str,
-                     exc: BaseException) -> dict:
-    detail = "".join(traceback.format_exception(
-        type(exc), exc, exc.__traceback__)[-4:])
-    return serde.stamp(
-        {"benchmark": benchmark, "scheme": scheme, "stats": None,
-         "exec_stats": None, "compile_result": None,
-         "failure": _short_reason(exc), "failure_detail": detail})
 
 
 def _async_raise(thread_id: int, exc_type: type) -> bool:
@@ -224,7 +276,7 @@ class _watchdog:
     ``__exit__`` starts no late timeout can fire.  The one unavoidable
     window — the callback scheduled the exception but the thread has not
     reached a bytecode boundary yet — surfaces inside the caller's
-    containment ``try`` (``execute_cell`` retries the cell), never in
+    containment ``try`` (:func:`run_cell` retries the cell), never in
     unrelated code.
     """
 
@@ -260,20 +312,21 @@ class _watchdog:
             self._timer = None
 
 
-def execute_cell(spec: CellSpec, program: Optional[Program] = None,
-                 compile_memo: Optional[dict] = None) -> dict:
-    """Run one cell; returns a plain-dict :class:`SchemeResult` payload.
+def run_cell(spec: CellSpec, program: Optional[Program] = None,
+             compile_memo: Optional[dict] = None) -> SchemeResult:
+    """Run one cell in this process: the engine's one retry/containment
+    loop.
 
     *program* short-circuits payload deserialization when the caller
-    already holds the Program (in-process fast path).  *compile_memo*
-    shares successful compiles across the cells of one benchmark (the
-    2bitBP and PerfectBP columns reuse the same baseline compile), and
-    one profiling run and the common pipeline stages across its
-    proposed-pipeline kinds, exactly as the serial runner does; failed
-    compiles are retried per cell.
+    already holds the Program.  *compile_memo* is a benchmark's memo:
+    its cells share successful compiles (the 2bitBP and PerfectBP
+    columns reuse one baseline compile), and its proposed-pipeline kinds
+    share one profiling run and the pipeline stages they have in common
+    (see :func:`~repro.core.pipeline.compile_proposed`); failed compiles
+    are retried per cell.
 
     With ``spec.strict`` the first exception propagates; otherwise the
-    cell is retried once and then recorded as a failure payload.
+    cell is retried once and then returned as a failed result.
     """
     with obs_span(f"cell.{spec.scheme}", benchmark=spec.benchmark,
                   scheme=spec.scheme) as sp:
@@ -284,30 +337,30 @@ def execute_cell(spec: CellSpec, program: Optional[Program] = None,
                 with _watchdog(spec.timeout):
                     prog = program if program is not None \
                         else Program.from_dict(spec.program)
-                    # The backend kwarg travels only when non-default, so
-                    # tests that monkeypatch counted_compile/counted_simulate
-                    # with the original signatures keep working.
-                    bk = {"backend": spec.backend} \
-                        if spec.backend != "reference" else {}
                     if spec.kind not in memo:
-                        shared = {"share": memo} if spec.kind != "base" \
-                            else {}
                         memo[spec.kind] = counted_compile(
                             spec.kind, prog, spec.heur, spec.max_steps,
-                            **bk, **shared)
+                            spec.backend, memo)
                     cr = memo[spec.kind]
                     stats, exec_stats = counted_simulate(
                         cr.program, spec.resolve_config(), spec.max_steps,
-                        **bk)
-                return serde.stamp(
-                    {"benchmark": spec.benchmark, "scheme": spec.scheme,
-                     "stats": stats.to_dict(),
-                     "exec_stats": exec_stats.to_dict(),
-                     "compile_result": cr.to_dict(),
-                     "failure": None, "failure_detail": ""})
+                        spec.backend)
+                return SchemeResult(spec.benchmark, spec.scheme, stats,
+                                    exec_stats, cr)
             except Exception as exc:  # noqa: BLE001 - isolation is the point
                 if spec.strict:
                     raise
                 last = exc
-        sp.set("failure", _short_reason(last))
-        return _failure_payload(spec.benchmark, spec.scheme, last)
+        reason = _short_reason(last)
+        sp.set("failure", reason)
+        detail = "".join(traceback.format_exception(
+            type(last), last, last.__traceback__)[-4:])
+        return SchemeResult(spec.benchmark, spec.scheme, failure=reason,
+                            failure_detail=detail)
+
+
+def execute_cell(spec: CellSpec, program: Optional[Program] = None,
+                 compile_memo: Optional[dict] = None) -> dict:
+    """:func:`run_cell` as a plain-dict :class:`SchemeResult` payload: the
+    entry point of pool worker processes and service workers."""
+    return run_cell(spec, program, compile_memo).to_dict()

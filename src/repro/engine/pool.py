@@ -1,18 +1,20 @@
 """Process-pool fan-out for independent evaluation cells.
 
 :func:`run_cells` executes a list of :class:`~repro.engine.cells.CellSpec`
-and returns one result payload per spec, in input order.  With ``jobs <=
-1`` it runs everything in the calling process (sharing compiles across
-each benchmark's cells, like the serial runner); with ``jobs > 1`` it
-fans out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+and returns one :class:`~repro.engine.cells.SchemeResult` per spec, in
+input order.  With ``jobs <= 1`` it runs everything in the calling
+process through :func:`~repro.engine.cells.run_cell` (sharing compiles
+across each benchmark's cells); with ``jobs > 1`` it fans out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` whose workers run
+:func:`~repro.engine.cells.execute_cell` and send payloads back, decoded
+here, at the process boundary.
 
 Crash containment extends into the worker path: a Python exception inside
-a worker is contained by :func:`~repro.engine.cells.execute_cell` itself
-(retry once, then a ``FAIL(...)`` payload).  If a worker *process* dies
-(OOM kill, interpreter abort), every in-flight and unstarted cell's
-future raises — those cells are transparently re-run in the parent
-process with the same containment, so one dead worker degrades throughput,
-never results.
+a worker is contained by the cell executor itself (retry once, then a
+``FAIL(...)`` result).  If a worker *process* dies (OOM kill,
+interpreter abort), every in-flight and unstarted cell's future raises —
+those cells are transparently re-run in the parent process with the same
+containment, so one dead worker degrades throughput, never results.
 
 Oversubscription guard
 ----------------------
@@ -38,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 from ..isa.program import Program
 from ..obs.metrics import REGISTRY
-from .cells import CellSpec, execute_cell
+from .cells import CellSpec, SchemeResult, execute_cell, run_cell
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ def execution_mode(jobs: int, n_items: int) -> PoolDecision:
 
 
 def _run_serial(specs: list[CellSpec],
-                programs: Optional[dict[str, Program]] = None) -> list[dict]:
+                programs: Optional[dict[str, Program]] = None
+                ) -> list[SchemeResult]:
     """In-process fallback: compile sharing in input order.
 
     The memo is keyed by everything that determines a compile —
@@ -111,16 +114,16 @@ def _run_serial(specs: list[CellSpec],
     for i, spec in enumerate(specs):
         prog = (programs or {}).get(spec.benchmark)
         key = memo_key(spec)
-        out.append(execute_cell(spec, program=prog,
-                                compile_memo=memos[key]))
+        out.append(run_cell(spec, program=prog, compile_memo=memos[key]))
         if last_use[key] == i:
             del memos[key]
     return out
 
 
 def run_cells(specs: list[CellSpec], jobs: int = 1,
-              programs: Optional[dict[str, Program]] = None) -> list[dict]:
-    """Execute all *specs*; returns result payloads in input order.
+              programs: Optional[dict[str, Program]] = None
+              ) -> list[SchemeResult]:
+    """Execute all *specs*; returns their results in input order.
 
     *programs* optionally maps benchmark name to an already-built
     :class:`Program`, short-circuiting deserialization on the in-process
@@ -133,14 +136,14 @@ def run_cells(specs: list[CellSpec], jobs: int = 1,
     if decision.workers <= 1:
         return _run_serial(specs, programs)
 
-    results: list[Optional[dict]] = [None] * len(specs)
+    results: list[Optional[SchemeResult]] = [None] * len(specs)
     redo: list[int] = []
     try:
         with ProcessPoolExecutor(max_workers=decision.workers) as ex:
             futures = [ex.submit(execute_cell, spec) for spec in specs]
             for i, fut in enumerate(futures):
                 try:
-                    results[i] = fut.result()
+                    results[i] = SchemeResult.from_dict(fut.result())
                 except Exception:  # noqa: BLE001 - worker died; re-run here
                     redo.append(i)
     except Exception:  # noqa: BLE001 - executor setup/teardown failure
@@ -148,8 +151,8 @@ def run_cells(specs: list[CellSpec], jobs: int = 1,
                     if results[i] is None and i not in redo)
     if redo:
         redone = _run_serial([specs[i] for i in redo], programs)
-        for i, payload in zip(redo, redone):
-            results[i] = payload
+        for i, cell in zip(redo, redone):
+            results[i] = cell
     return [r if r is not None else _run_serial([specs[i]], programs)[0]
             for i, r in enumerate(results)]
 
@@ -162,7 +165,7 @@ def run_tasks(fn: Callable, payloads: Sequence, jobs: int = 1) -> list:
     must be a module-level picklable callable and each payload picklable;
     containment of Python-level exceptions is *fn*'s own responsibility
     (fuzz cells return failure payloads, mirroring
-    :func:`~repro.engine.cells.execute_cell`).  Worker-process death is
+    :func:`~repro.engine.cells.run_cell`).  Worker-process death is
     handled here exactly like :func:`run_cells`: the affected payloads are
     transparently re-executed in the calling process, so a dead worker
     degrades throughput, never results.  Worker count follows

@@ -5,17 +5,17 @@ per unit time (compare the exhaustive design-space sweeps of Mitrevski &
 Gušev and the fetch-rate sweeps of Ramachandran & Johnson in PAPERS.md).
 :class:`SweepSpec` describes a cartesian product over workload scale
 factors, machine-configuration fields (issue widths, queue sizes, ...),
-and feedback-heuristic thresholds; :func:`run_sweep` evaluates every
-point through the same artifact cache and process pool as the suite
-runner and emits one flat JSON-serializable record per (point, benchmark,
-scheme) cell.
+and feedback-heuristic thresholds; :func:`run_sweep_impl` (behind
+``Session.sweep``) evaluates every point through the same artifact cache
+and process pool as the suite runner and emits one flat JSON-serializable
+record per (point, benchmark, scheme) cell.
 
 Example::
 
     spec = SweepSpec(scales=(0.1, 0.3),
                      config_grid={"fetch_width": (2, 4, 8)},
                      heur_grid={"speculation_bias": (0.5, 0.65, 0.8)})
-    records = run_sweep(spec, jobs=4, cache=True)
+    records = Session(jobs=4, cache=True).sweep(spec)
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass, fields as dc_fields, replace
 from typing import Callable, Iterator, Optional
 
-from .._deprecation import deprecated
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
 from ..obs.trace import span as obs_span
 from ..sim.config import MachineConfig
@@ -176,6 +175,3 @@ def run_sweep_impl(spec: SweepSpec, jobs: int = 1, cache: CacheLike = None,
             for cell in run.results.values():
                 records.append(_cell_record(point, name, cell))
     return records
-
-
-run_sweep = deprecated("repro.api.Session.sweep")(run_sweep_impl)

@@ -124,9 +124,17 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
 
 def _reference_simulate(prog: Program, config: MachineConfig,
-                        max_steps: int) -> tuple:
+                        max_steps: int, observer=None) -> tuple:
+    """Reference functional + timing simulation: ``(SimStats, ExecStats)``.
+
+    The one definition of the reference pair, shared by the engine's
+    cells, the CLI's ``run`` and every fast-path fallback.  *observer*
+    is the timing simulator's pipeline observer (default: the metrics
+    registry's, when it is enabled).
+    """
     fsim = FunctionalSim(prog, max_steps=max_steps, record_outcomes=False)
-    tsim = TimingSim(config, observer=maybe_observer())
+    tsim = TimingSim(config, observer=observer if observer is not None
+                     else maybe_observer())
     stats = tsim.run(fsim.trace())
     return stats, fsim.stats
 
@@ -135,8 +143,8 @@ def simulate(prog: Program, config: MachineConfig,
              max_steps: int = 20_000_000) -> tuple:
     """Fast functional + timing simulation with reference fallback.
 
-    Returns ``(SimStats, ExecStats)`` exactly like the reference pair in
-    ``engine.cells.counted_simulate``.
+    Returns ``(SimStats, ExecStats)`` exactly like
+    :func:`_reference_simulate`.
     """
     if maybe_observer() is not None:
         _fallback("observer", "pipeline observer active")

@@ -31,7 +31,7 @@ from ..isa.program import Program
 from ..robust.diffcheck import DiffReport, _compare_outcomes
 from ..sim.config import MachineConfig
 from ..sim.functional import FunctionalSim
-from ..sim.pipeline import TimingSim
+from .backend import _reference_simulate
 from .decode import decode_program
 from .functional import FastFunctionalSim
 from .timing import FastTimingSim
@@ -117,12 +117,6 @@ def crosscheck_cell(prog: Program, config: MachineConfig, *,
     Compares the ``(SimStats, ExecStats)`` pair the engine caches — the
     payload-equality contract of :data:`repro.engine.keys` backend keys.
     """
-    def _ref():
-        fsim = FunctionalSim(prog, max_steps=max_steps,
-                             record_outcomes=False)
-        stats = TimingSim(config).run(fsim.trace())
-        return stats, fsim.stats
-
     def _fast():
         dec = decode_program(prog)
         fsim = FastFunctionalSim(prog, max_steps=max_steps,
@@ -133,7 +127,7 @@ def crosscheck_cell(prog: Program, config: MachineConfig, *,
     ref_pair = fast_pair = None
     ref_fail = fast_fail = None
     try:
-        ref_pair = _ref()
+        ref_pair = _reference_simulate(prog, config, max_steps)
     except Exception as exc:  # noqa: BLE001
         ref_fail = f"{type(exc).__name__}: {exc}"
     try:

@@ -19,8 +19,7 @@ that requirement into an executable, scalable campaign:
 """
 
 from .campaign import (
-    CampaignConfig, CampaignResult, CampaignSummary, run_campaign,
-    scheme_oracle,
+    CampaignConfig, CampaignResult, CampaignSummary, scheme_oracle,
 )
 from .cells import (
     FUZZ_MAX_STEPS, FUZZ_SCHEMES, FuzzCellSpec, check_program,
@@ -38,8 +37,7 @@ from .triage import (
 )
 
 __all__ = [
-    "CampaignConfig", "CampaignResult", "CampaignSummary", "run_campaign",
-    "scheme_oracle",
+    "CampaignConfig", "CampaignResult", "CampaignSummary", "scheme_oracle",
     "FUZZ_MAX_STEPS", "FUZZ_SCHEMES", "FuzzCellSpec", "check_program",
     "compile_scheme", "execute_fuzz_cell", "fuzz_cell_key",
     "iter_corpus", "load_reproducer", "replay_corpus", "save_reproducer",

@@ -1,6 +1,7 @@
 """The differential fuzzing campaign runner.
 
-:func:`run_campaign` drives the whole loop:
+:func:`run_campaign_impl` (behind ``Session.fuzz``) drives the whole
+loop:
 
 1. expand the strategy lattice into *budget* deterministic fuzz cells;
 2. resolve each cell against the :mod:`repro.engine` artifact cache and
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .._deprecation import deprecated
 from ..core import serde
 from ..engine.cache import ArtifactCache
 from ..engine.pool import run_tasks
@@ -209,9 +209,6 @@ def run_campaign_impl(cfg: CampaignConfig,
         REGISTRY.inc("fuzz.divergences", result.summary.divergences)
         REGISTRY.inc("fuzz.cell_errors", result.summary.cell_errors)
     return result
-
-
-run_campaign = deprecated("repro.api.Session.fuzz")(run_campaign_impl)
 
 
 def _run_campaign_inner(cfg: CampaignConfig,

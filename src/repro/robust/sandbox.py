@@ -38,6 +38,16 @@ from .verifier import Violation, verify_cfg
 FAILURE_KINDS = ("exception", "verify", "diffcheck", "skip")
 
 
+class CellTimeout(RuntimeError):
+    """A cell attempt exceeded its wall-clock budget.
+
+    Raised by the engine's cell watchdog (:mod:`repro.engine.cells`)
+    inside whatever code the cell is running.  A sandbox never contains
+    it: the attempt fails as a whole, so no degraded compile (or
+    pipeline checkpoint saved after the interrupted pass) outlives it.
+    """
+
+
 @dataclass
 class PassFailure:
     """One contained pass failure (or recorded skip) with its diagnosis."""
@@ -231,6 +241,8 @@ class PassSandbox:
                 sink(snap)
             try:
                 result = fn()
+            except CellTimeout:
+                raise
             except skip_exceptions as exc:
                 restore_cfg(self.cfg, snap)
                 self.last_ok = False

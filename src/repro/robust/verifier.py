@@ -91,6 +91,8 @@ def _register_classes(op: str, fmt: Fmt) -> tuple[Optional[str],
         if op == "lwf":
             return dest, ("int",), None
         return dest, (), "fp" if op in _FP_SRCS else "int"  # else cvtif
+    if op == "swf":  # swf fvalue, imm(rbase)
+        return None, ("fp", "int"), None
     if fmt == Fmt.CMP:
         return "cc", (), "int"
     if fmt in (Fmt.CCLOGIC1, Fmt.CCLOGIC2):

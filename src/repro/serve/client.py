@@ -34,7 +34,7 @@ import urllib.request
 from typing import Callable, Optional
 
 from ..core.heuristics import DEFAULT_HEURISTICS, FeedbackHeuristics
-from ..engine.cells import SCHEME_PLAN, CellSpec, overrides_as_items
+from ..engine.cells import CellSpec, benchmark_cells, overrides_as_items
 from ..engine.keys import cell_key
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
@@ -195,16 +195,12 @@ def suite_cells(programs: dict, heur: FeedbackHeuristics,
     out = []
     over_items = overrides_as_items(config_overrides)
     for name, prog in programs.items():
-        payload_d = prog.to_dict()
-        for scheme, kind, predictor in SCHEME_PLAN:
-            spec = CellSpec(
-                benchmark=name, scheme=scheme, kind=kind,
-                predictor=predictor, program=payload_d, heur=heur,
-                config_overrides=over_items, max_steps=max_steps,
-                timeout=timeout, backend=backend)
-            key = cell_key(prog, scheme, heur, spec.resolve_config(),
+        for spec in benchmark_cells(
+                name, prog.to_dict(), heur=heur, config_overrides=over_items,
+                max_steps=max_steps, timeout=timeout, backend=backend):
+            key = cell_key(prog, spec.scheme, heur, spec.resolve_config(),
                            max_steps, backend=backend)
-            out.append((name, scheme, key, spec,
+            out.append((name, spec.scheme, key, spec,
                         protocol.cellspec_to_payload(spec)))
     return out
 
@@ -251,7 +247,7 @@ def remote_run_sweep(client: ServeClient, spec,
                      progress: Optional[Callable[[str], None]] = None,
                      timeout: Optional[float] = None,
                      backend: Optional[str] = None) -> list[dict]:
-    """The service-backed twin of :func:`repro.engine.sweep.run_sweep`.
+    """The service-backed twin of :func:`repro.engine.sweep.run_sweep_impl`.
 
     Iterates the same cartesian points and emits the same flat records;
     every point's suite goes through :func:`remote_run_suite`, so
@@ -307,7 +303,7 @@ def remote_cell_executor(client: ServeClient) -> Callable:
 
 
 def remote_fuzz_executor(client: ServeClient) -> Callable:
-    """An executor for :func:`repro.qa.campaign.run_campaign`'s hook.
+    """An executor for :func:`repro.qa.campaign.run_campaign_impl`'s hook.
 
     Returns ``executor(specs) -> payloads``: the campaign's cache-miss
     fuzz cells ride the service queue (kind ``"fuzz"``) instead of the

@@ -24,16 +24,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..engine.cells import COUNTERS, CellSpec, overrides_as_items
+from ..engine.cells import (COUNTERS, SCHEME_PLAN, CellSpec, SchemeResult,
+                            overrides_as_items)
 from ..engine.keys import cell_key
 from ..engine.pool import run_cells
-from ..eval.runner import SchemeResult
 from ..obs.metrics import REGISTRY
 
 #: The scheme every candidate is scored on: the paper's combined
 #: speculative+guarded pipeline — the one whose decisions the heuristic
-#: vector actually steers.  (scheme, kind, predictor) as in SCHEME_PLAN.
-TUNE_SCHEME = ("Proposed", "prop", "twobit")
+#: vector actually steers.  Its (scheme, kind, predictor) row of
+#: SCHEME_PLAN.
+TUNE_SCHEME = next(row for row in SCHEME_PLAN if row[0] == "Proposed")
 
 
 def compile_cost(cr) -> int:
@@ -79,9 +80,8 @@ def candidate_cells(heur, config_overrides: dict, programs: dict,
     return out
 
 
-def measure(payload: dict, original_len: int) -> dict:
-    """Objective vector of one cell payload (``ok=False`` on failure)."""
-    cell = SchemeResult.from_dict(payload)
+def measure(cell: SchemeResult, original_len: int) -> dict:
+    """Objective vector of one cell (``ok=False`` on failure)."""
     if not cell.ok or cell.compile_result is None:
         return {"ok": False, "ipc": 0.0, "code_growth": float("inf"),
                 "compile_cost": 0, "failure": cell.failure}
@@ -101,38 +101,36 @@ def evaluate_batch(cells: list[tuple[str, str, CellSpec]], programs: dict,
     *cells* is the concatenated ``candidate_cells`` output of every
     candidate in the round (duplicate keys collapse — two candidates
     whose vectors compile identically share one execution).  Returns
-    ``({key: payload}, hits, executed)``; ``hits`` counts artifact-cache
-    hits, ``executed`` the unique cells actually run.  *executor* (from
-    :func:`repro.serve.client.remote_cell_executor`) replaces the local
-    pool with one batched fleet submission.
+    ``({key: SchemeResult}, hits, executed)``; ``hits`` counts
+    artifact-cache hits, ``executed`` the unique cells actually run.
+    *executor* (from :func:`repro.serve.client.remote_cell_executor`)
+    replaces the local pool with one batched fleet submission.
     """
-    payloads: dict[str, dict] = {}
+    results: dict[str, SchemeResult] = {}
     miss: dict[str, CellSpec] = {}
     for _, key, spec in cells:
-        if key in payloads or key in miss:
+        if key in results or key in miss:
             continue
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
-            payloads[key] = cached
+            results[key] = SchemeResult.from_dict(cached)
             continue
         miss[key] = spec
-    hits = len(payloads)
+    hits = len(results)
     REGISTRY.inc("tune.cells.hit", hits)
     REGISTRY.inc("tune.cells.miss", len(miss))
     if miss:
-        items = list(miss.items())
         if executor is not None:
-            fresh = executor([(k, s) for k, s in items])
+            fresh = {k: SchemeResult.from_dict(payload)
+                     for k, payload in executor(list(miss.items())).items()}
         else:
-            results = run_cells([s for _, s in items], jobs=jobs,
-                                programs=programs)
-            fresh = {k: payload
-                     for (k, _), payload in zip(items, results)}
-        for key, payload in fresh.items():
-            payloads[key] = payload
-            if cache is not None and payload.get("failure") is None:
-                cache.put(key, payload)
-    return payloads, hits, len(miss)
+            fresh = dict(zip(miss, run_cells(list(miss.values()), jobs=jobs,
+                                             programs=programs)))
+        for key, cell in fresh.items():
+            results[key] = cell
+            if cache is not None and cell.failure is None:
+                cache.put(key, cell.to_dict())
+    return results, hits, len(miss)
 
 
 def reset_counters() -> None:

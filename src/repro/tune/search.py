@@ -210,11 +210,11 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache, jobs,
                                  spec.max_steps, timeout, backend)
             grid.append((cand, cc))
             cells.extend(cc)
-        payloads, hits, executed = evaluate_batch(
+        results, hits, executed = evaluate_batch(
             cells, programs, cache, jobs, executor=executor)
         best = 0.0
         for cand, cc in grid:
-            per_bench = {name: measure(payloads[key], original_len[name])
+            per_bench = {name: measure(results[key], original_len[name])
                          for name, key, _ in cc}
             agg = _aggregate(per_bench)
             cand["rungs"][label] = {"per_workload": per_bench,

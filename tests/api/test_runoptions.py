@@ -168,7 +168,7 @@ def test_session_resolution_never_warns():
 
 def test_monkeypatched_legacy_impl_still_reached(monkeypatch):
     """Session.run_benchmark resolves the runner impl at call time, so
-    monkeypatching the legacy free function still takes effect."""
+    monkeypatching it takes effect, and the per-call options reach it."""
     from repro.eval import runner as _runner
 
     calls = {}
@@ -178,7 +178,7 @@ def test_monkeypatched_legacy_impl_still_reached(monkeypatch):
         calls.update(kw)
         return "sentinel"
 
-    monkeypatch.setattr(_runner, "run_benchmark", fake)
+    monkeypatch.setattr(_runner, "run_benchmark_impl", fake)
     out = Session().run_benchmark("x", object(),
                                   options=RunOptions(max_steps=42))
     assert out == "sentinel"

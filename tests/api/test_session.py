@@ -15,52 +15,48 @@ from repro.workloads import benchmark_programs
 SCALE = 0.01
 
 
-def _legacy(fn, *args, **kw):
-    """Call a deprecated free function with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kw)
-
+# The "legacy" functions below are the implementations the pre-Session
+# free functions wrapped; the Session must reproduce them byte for byte.
 
 def test_run_suite_matches_legacy_byte_for_byte():
-    from repro.eval import run_suite as legacy_run_suite
+    from repro.engine.suite import run_suite
 
     with Session() as s:
         via_session = s.run_suite(scale=SCALE)
-    legacy = _legacy(legacy_run_suite, scale=SCALE)
+    legacy = run_suite(scale=SCALE)
     assert json.dumps(suite_to_dict(via_session), sort_keys=True) \
         == json.dumps(suite_to_dict(legacy), sort_keys=True)
 
 
 def test_run_benchmark_matches_legacy():
-    from repro.eval import run_benchmark as legacy_run_benchmark
+    from repro.eval.runner import run_benchmark_impl
 
     prog = benchmark_programs(SCALE)["compress"]
     with Session() as s:
         via_session = s.run_benchmark("compress", prog)
-    legacy = _legacy(legacy_run_benchmark, "compress", prog)
+    legacy = run_benchmark_impl("compress", prog)
     assert json.dumps(via_session.to_dict(), sort_keys=True) \
         == json.dumps(legacy.to_dict(), sort_keys=True)
 
 
 def test_sweep_matches_legacy():
-    from repro.engine import run_sweep as legacy_run_sweep
+    from repro.engine.sweep import run_sweep_impl
 
     spec = SweepSpec(scales=(SCALE,), benchmarks=("compress",))
     with Session() as s:
         via_session = s.sweep(spec)
-    legacy = _legacy(legacy_run_sweep, spec)
+    legacy = run_sweep_impl(spec)
     assert json.dumps(via_session, sort_keys=True, default=str) \
         == json.dumps(legacy, sort_keys=True, default=str)
 
 
 def test_fuzz_matches_legacy():
-    from repro.qa import CampaignConfig, run_campaign as legacy_run_campaign
+    from repro.qa.campaign import CampaignConfig, run_campaign_impl
 
     cfg = CampaignConfig(budget=3, seed=0, shrink=False)
     with Session() as s:
         via_session = s.fuzz(cfg)
-    legacy = _legacy(legacy_run_campaign, cfg)
+    legacy = run_campaign_impl(cfg)
     assert json.dumps(via_session.summary.to_dict(), sort_keys=True) \
         == json.dumps(legacy.summary.to_dict(), sort_keys=True)
 

@@ -17,8 +17,8 @@ import pytest
 from repro.core import pipeline
 from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.core.pipeline import compile_proposed
-from repro.engine.cells import (SCHEME_PLAN, CellSpec, execute_cell,
-                                kind_heuristics)
+from repro.engine.cells import (SCHEME_PLAN, CellSpec, CellTimeout,
+                                execute_cell, kind_heuristics, run_cell)
 from repro.eval.runner import run_benchmark_impl
 from repro.isa import parse
 from repro.isa.randprog import BRANCH_PATTERNS, RandProgConfig, random_program
@@ -147,6 +147,28 @@ def test_prefix_failure_appears_in_every_kind(monkeypatch, fault, kind):
     assert records[0][0]["rolled_back"]
     assert records == [records[0]] * len(KINDS)
     assert {k: _dump(r.to_dict()) for k, r in results.items()} == unshared
+
+
+def test_timeout_inside_a_pass_fails_the_cell(monkeypatch):
+    # A watchdog timeout is not a pass failure: the sandbox lets it
+    # through, so the cell fails instead of keeping a degraded compile,
+    # and no compile or checkpoint of the interrupted attempts is left
+    # in the benchmark's memo for the other proposed kinds to resume.
+    def timing_out(*args, **kwargs):
+        raise CellTimeout()
+
+    monkeypatch.setattr(pipeline, "decide", timing_out)
+    prog = PROGRAMS["rand-mixed"]
+    spec = CellSpec(benchmark=prog.name, scheme="Proposed", kind="prop",
+                    predictor="twobit", program=prog.to_dict(),
+                    max_steps=MAX_STEPS)
+    memo: dict = {}
+    cell = run_cell(spec, program=prog, compile_memo=memo)
+    assert cell.failure == "CellTimeout"
+    assert not any(kind in memo for kind in KINDS)
+    shared = [v for v in memo.values()
+              if isinstance(v, pipeline._SharedCompiles)]
+    assert shared and not any(s.saved for s in shared)
 
 
 # -- how much work sharing saves ------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.engine import ArtifactCache, COUNTERS, SCHEME_PLAN, run_suite
+from repro.engine.cells import benchmark_cells, execute_cell
 from repro.eval.runner import suite_to_dict
 from repro.workloads import benchmark_programs
 
@@ -75,6 +76,35 @@ def test_parallel_fail_cells_reach_the_tables(programs):
     run = runs["xlisp"]
     assert not run.ok
     assert all(cell.failure for cell in run.results.values())
+
+
+@pytest.fixture(params=["serial", "pool"])
+def jobs(request, monkeypatch):
+    """jobs=1 (cells in this process), or a 2-worker pool forced even on
+    a 1-CPU host."""
+    if request.param == "serial":
+        return 1
+    monkeypatch.setenv("REPRO_POOL_FORCE", "1")
+    return 2
+
+
+def test_semantic_failure_contained_alike_on_both_paths(tmp_path, programs,
+                                                         jobs):
+    # A 10-step budget cannot finish: every cell fails in the simulator.
+    # Both paths run the same executor, so each failed cell is the one
+    # execute_cell reports, cached run or not, and none is cached.
+    one = {"xlisp": programs["xlisp"]}
+    expected = {spec.scheme: execute_cell(spec)
+                for spec in benchmark_cells("xlisp", one["xlisp"].to_dict(),
+                                            max_steps=10)}
+    assert all(p["failure"].startswith("StepBudgetExceeded")
+               for p in expected.values())
+    cache = ArtifactCache(tmp_path)
+    for store in (None, cache):
+        run = run_suite(benchmarks=one, max_steps=10, jobs=jobs,
+                        cache=store, backend="reference")["xlisp"]
+        assert {s: c.to_dict() for s, c in run.results.items()} == expected
+    assert cache.stats()["entries"] == 0
 
 
 def test_strict_propagates_from_parallel_workers(programs):

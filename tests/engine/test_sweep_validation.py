@@ -88,7 +88,7 @@ def test_same_name_across_both_grids_rejected(monkeypatch):
 
 
 def test_error_not_raised_deep_in_worker():
-    """run_sweep surfaces the validation error before any evaluation."""
+    """run_sweep_impl surfaces the validation error before any evaluation."""
     from repro.engine.sweep import run_sweep_impl
 
     with pytest.raises(ValueError, match="heur_grid"):

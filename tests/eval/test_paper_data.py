@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import Session
 from repro.eval import (
     PAPER_TABLE1, PAPER_TABLE3_BR, PAPER_TABLE4_IPC, format_shape_verdicts,
-    run_suite, shape_verdicts,
+    shape_verdicts,
 )
 
 
@@ -28,7 +29,7 @@ def test_paper_br_ordering():
 
 @pytest.fixture(scope="module")
 def runs():
-    return run_suite(scale=0.15)
+    return Session().run_suite(scale=0.15)
 
 
 def test_shape_verdicts(runs):

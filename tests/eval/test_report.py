@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.eval import render_report, run_suite, write_report
+from repro.api import Session
+from repro.eval import render_report, write_report
 
 
 @pytest.fixture(scope="module")
 def runs():
-    return run_suite(scale=0.15)
+    return Session().run_suite(scale=0.15)
 
 
 def test_render_contains_all_sections(runs):

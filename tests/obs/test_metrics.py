@@ -6,6 +6,24 @@ from repro.obs.metrics import (
 )
 
 
+def test_serial_suite_records_engine_work():
+    # jobs=1 runs its cells through the same executor as the pool, so the
+    # registry sees exactly the compiles and simulations COUNTERS sees.
+    from repro.api import Session
+    from repro.engine.cells import COUNTERS
+    from repro.workloads import benchmark_programs
+
+    programs = {"compress": benchmark_programs(0.01)["compress"]}
+    before = (COUNTERS.compiles, COUNTERS.simulates)
+    with Session(metrics=True, jobs=1, backend="reference") as s:
+        s.run_suite(benchmarks=programs, max_steps=2_000_000)
+    counters = REGISTRY.snapshot()["counters"]
+    delta = (COUNTERS.compiles - before[0], COUNTERS.simulates - before[1])
+    assert delta == (4, 5)
+    assert (counters["engine.compiles"], counters["engine.simulates"]) \
+        == delta
+
+
 def test_disabled_recording_is_a_no_op():
     reg = MetricsRegistry()
     assert not reg.enabled

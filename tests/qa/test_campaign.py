@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro.api import Session
 from repro.qa import cells
-from repro.qa.campaign import CampaignConfig, run_campaign
+from repro.qa.campaign import CampaignConfig
 from repro.qa.corpus import load_reproducer, replay_corpus
 from repro.robust.faults import inject_program_fault
 
@@ -20,8 +21,8 @@ def _cfg(**kw):
 
 
 def test_clean_campaign_is_deterministic():
-    a = run_campaign(_cfg())
-    b = run_campaign(_cfg())
+    a = Session().fuzz(_cfg())
+    b = Session().fuzz(_cfg())
     assert a.summary.clean
     assert a.summary.to_dict() == b.summary.to_dict()
     assert a.summary.programs == 3
@@ -31,13 +32,13 @@ def test_clean_campaign_is_deterministic():
 
 def test_warm_cache_skips_execution(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
-    cold = run_campaign(_cfg(cache=str(cache_dir)))
+    cold = Session().fuzz(_cfg(cache=str(cache_dir)))
 
     def boom(spec):
         raise AssertionError("cell executed despite warm cache")
 
     monkeypatch.setattr(cells, "execute_fuzz_cell", boom)
-    warm = run_campaign(_cfg(cache=str(cache_dir)))
+    warm = Session().fuzz(_cfg(cache=str(cache_dir)))
     assert warm.summary.to_dict() == cold.summary.to_dict()
 
 
@@ -58,7 +59,7 @@ def test_campaign_catches_injected_miscompile(tmp_path, monkeypatch):
     monkeypatch.setattr(cells, "compile_scheme",
                         _corrupting_compile(cells.compile_scheme))
     corpus = tmp_path / "corpus"
-    result = run_campaign(_cfg(budget=3, shrink=True, oracle_budget=80,
+    result = Session().fuzz(_cfg(budget=3, shrink=True, oracle_budget=80,
                                corpus_dir=str(corpus)))
     summary = result.summary
 
@@ -96,7 +97,7 @@ def test_campaign_buckets_cell_errors(monkeypatch):
 
     # execute_fuzz_cell contains its own crashes, so break one level in.
     monkeypatch.setattr(cells, "check_program", broken)
-    result = run_campaign(_cfg(budget=2))
+    result = Session().fuzz(_cfg(budget=2))
     assert result.summary.cell_errors == 2
     assert not result.summary.clean
     assert all(e.kind == "cell-error" for e in result.entries)
@@ -106,7 +107,7 @@ def test_campaign_buckets_cell_errors(monkeypatch):
 
 def test_campaign_progress_messages():
     seen = []
-    run_campaign(_cfg(budget=2), progress=seen.append)
+    Session().fuzz(_cfg(budget=2), progress=seen.append)
     assert any("2 cells" in m for m in seen)
 
 

@@ -4,13 +4,15 @@ import math
 
 import pytest
 
+from repro.api import Session
+from repro.engine import cells as cells_mod
+from repro.engine import suite as suite_mod
+from repro.engine.cells import SCHEME_PLAN, CellSpec, run_cell
 from repro.eval import (
     SCHEMES, format_improvements, format_table1, format_table3,
-    format_table4, render_report, run_suite, suite_failures,
+    format_table4, render_report, suite_failures,
 )
-from repro.eval import runner as runner_mod
 from repro.eval.paper_data import shape_verdicts
-from repro.eval.runner import SchemeResult, _run_cell
 from repro.isa import parse
 
 TINY = """.text
@@ -34,8 +36,12 @@ def _boom(*args, **kwargs):
     raise RuntimeError("synthetic mid-pass crash")
 
 
+def run_suite(**kw):
+    return Session().run_suite(**kw)
+
+
 def test_proposed_cell_failure_is_contained(monkeypatch):
-    monkeypatch.setattr(runner_mod, "compile_proposed", _boom)
+    monkeypatch.setattr(cells_mod, "compile_proposed", _boom)
     runs = run_suite(benchmarks=_bench())
     run = runs["tiny"]
     assert run["2bitBP"].ok and run["PerfectBP"].ok
@@ -50,7 +56,7 @@ def test_proposed_cell_failure_is_contained(monkeypatch):
 
 
 def test_tables_render_fail_cells(monkeypatch):
-    monkeypatch.setattr(runner_mod, "compile_proposed", _boom)
+    monkeypatch.setattr(cells_mod, "compile_proposed", _boom)
     runs = run_suite(benchmarks=_bench())
     for text in (format_table3(runs), format_table4(runs),
                  format_improvements(runs)):
@@ -63,27 +69,33 @@ def test_tables_render_fail_cells(monkeypatch):
 
 
 def test_strict_mode_fails_fast(monkeypatch):
-    monkeypatch.setattr(runner_mod, "compile_proposed", _boom)
+    monkeypatch.setattr(cells_mod, "compile_proposed", _boom)
     with pytest.raises(RuntimeError, match="synthetic mid-pass crash"):
         run_suite(benchmarks=_bench(), strict=True)
 
 
-def test_cell_retry_once_absorbs_transient_failure():
+def test_cell_retry_once_absorbs_transient_failure(monkeypatch):
     calls = {"n": 0}
+    real = cells_mod.counted_simulate
 
-    def flaky():
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] == 1:
             raise RuntimeError("transient")
-        return SchemeResult("b", "s", stats=object())
+        return real(*args)
 
-    result = _run_cell("b", "s", flaky, strict=False)
+    monkeypatch.setattr(cells_mod, "counted_simulate", flaky)
+    prog = _bench()["tiny"]
+    scheme, kind, predictor = SCHEME_PLAN[0]
+    result = run_cell(CellSpec(benchmark="tiny", scheme=scheme, kind=kind,
+                               predictor=predictor,
+                               program=prog.to_dict()))
     assert result.ok
     assert calls["n"] == 2
 
 
 def test_benchmark_construction_failure_fails_all_cells(monkeypatch):
-    monkeypatch.setattr(runner_mod, "run_benchmark", _boom)
+    monkeypatch.setattr(suite_mod, "benchmark_cells", _boom)
     runs = run_suite(benchmarks=_bench())
     assert {c.scheme for c in runs["tiny"].failures} == set(SCHEMES)
     assert all("RuntimeError" in c.failure for c in runs["tiny"].failures)

@@ -122,6 +122,7 @@ REGISTER_CASES = [
     ("nop", None, (), None, None, None, None, None),                  # none
     ("fadd", "f1", ("f2", "f3"), "r1", "fp", 0, "r2", "fp"),          # fp rrr
     ("lwf", "f1", ("r2",), "r1", "fp", 0, "f2", "int"),               # fp load
+    ("swf", None, ("f2", "r2"), None, None, 0, "r3", "fp"),           # fp store
     ("cvtif", "f1", ("r2",), "r1", "fp", 0, "f2", "int"),             # int->fp
     ("cvtfi", "r1", ("f2",), "f1", "int", 0, "r2", "fp"),             # fp->int
     ("fcmplt", "cc2", ("f1", "f2"), "f3", "cc", 1, "r2", "fp"),       # fp cmp

@@ -75,7 +75,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.engine import COUNTERS, ArtifactCache, run_suite  # noqa: E402
+from repro.api import Session  # noqa: E402
+from repro.engine import COUNTERS, ArtifactCache  # noqa: E402
 from repro.engine import pool as _pool  # noqa: E402
 
 
@@ -86,8 +87,8 @@ def _timed_run(scale: float, max_steps: int, cache: ArtifactCache,
     cache.counters.reset()
     _pool.LAST_DECISION = None
     t0 = time.perf_counter()
-    runs = run_suite(scale=scale, max_steps=max_steps, cache=cache,
-                     jobs=jobs)
+    runs = Session(cache=cache, jobs=jobs).run_suite(scale=scale,
+                                                     max_steps=max_steps)
     elapsed = time.perf_counter() - t0
     failed = [f"{name}/{cell.scheme}"
               for name, run in runs.items()
@@ -455,11 +456,10 @@ def bench_fastsim(scale: float, max_steps: int, repeats: int = 9,
       decode-once + batched-event pair, min-of-3 (the timing model
       dominates, so fewer repeats suffice); the two payload dict pairs
       must be byte-identical;
-    * **end_to_end** — one cold :func:`repro.engine.run_suite` per
+    * **end_to_end** — one cold ``Session.run_suite`` per
       backend over throwaway caches (includes the shared compile cost,
       so this ratio is what a user actually feels; reported, not gated).
     """
-    from repro.engine import run_suite as _run_suite
     from repro.fastsim import FastFunctionalSim
     from repro.fastsim.backend import simulate as fast_simulate
     from repro.sim import FunctionalSim, TimingSim, r10k_config
@@ -536,8 +536,8 @@ def bench_fastsim(scale: float, max_steps: int, repeats: int = 9,
         for backend in ("reference", "fast"):
             cache = ArtifactCache(Path(d) / backend)
             t0 = time.perf_counter()
-            _run_suite(scale=scale, max_steps=max_steps, cache=cache,
-                       backend=backend)
+            Session(cache=cache, backend=backend).run_suite(
+                scale=scale, max_steps=max_steps)
             end_to_end[f"{backend}_s"] = round(time.perf_counter() - t0, 4)
     end_to_end["speedup"] = (
         round(end_to_end["reference_s"] / end_to_end["fast_s"], 2)
