@@ -19,14 +19,8 @@ Commands:
   programs (all schemes cross-checked against the functional simulator),
   shrink and triage any divergence into ``corpus/``, or ``--replay`` an
   existing corpus (see docs/QA.md);
-* ``cache``   — inspect (``stats``, with per-tenant-namespace breakdowns
-  and ``--json``) or wipe (``clear``, optionally one ``--namespace``)
-  the engine's content-addressed artifact cache;
-* ``serve``   — run the distributed evaluation service (multi-tenant
-  job queue + worker fleet + namespaced cache; see docs/SERVICE.md);
-* ``submit``  — submit a suite batch to a running service and stream
-  the results back (byte-identical to a local ``tables`` run);
-* ``jobs``    — list a service's jobs and show its queue/fleet stats;
+* ``cache``   — inspect (``stats``, optionally ``--json``) or wipe
+  (``clear``) the engine's content-addressed artifact cache;
 * ``sweep``   — run a declarative design-space sweep and write one JSON
   record per (point, benchmark, scheme) cell;
 * ``tune``    — run a closed-loop heuristic search (successive halving
@@ -53,8 +47,8 @@ behave identically everywhere: results are cached in ``.repro-cache/``
 (override with ``--cache-dir`` or ``$REPRO_CACHE_DIR``, disable with
 ``--no-cache``), cache misses fan out over ``--jobs N`` worker
 processes, and ``--trace FILE`` writes a JSONL span trace of the run.
-``--remote URL`` (with ``--tenant NAME``) routes the experiment through
-a running ``repro serve`` instance instead of the local pool.
+A bad ``$REPRO_BACKEND`` or ``$REPRO_CACHE_MAX_MB`` is a one-line usage
+error (exit 2), not a traceback.
 """
 
 from __future__ import annotations
@@ -192,119 +186,24 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    from .serve.store import DEFAULT_NAMESPACE, LocalBackend
+    from .engine import ArtifactCache
 
-    backend = LocalBackend(args.cache_dir)
+    store = ArtifactCache(args.cache_dir)
     if args.action == "clear":
-        spaces = ([args.namespace] if args.namespace
-                  else backend.namespaces())
-        for name in spaces:
-            removed = backend.cache(name).clear()
-            print(f"cleared {removed} entries from namespace {name!r} "
-                  f"({backend.namespace_root(name)})")
+        removed = store.clear()
+        print(f"cleared {removed} entries from {store.root}")
         return 0
-    stats = backend.stats()
+    stats = store.stats()
     if args.json:
         import json
 
-        print(json.dumps(stats, indent=2, sort_keys=True))
+        disk = ("root", "entries", "total_bytes", "max_bytes")
+        print(json.dumps({k: stats[k] for k in disk}, indent=2,
+                         sort_keys=True))
         return 0
     print(f"cache root : {stats['root']}")
     print(f"entries    : {stats['entries']}")
     print(f"total bytes: {stats['total_bytes']}")
-    print("namespaces :")
-    for name, s in stats["namespaces"].items():
-        suffix = " (top-level)" if name == DEFAULT_NAMESPACE else ""
-        print(f"  {name:<16} {s['entries']:>6} entries, "
-              f"{s['total_bytes']:>10} bytes{suffix}")
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the distributed evaluation service until interrupted."""
-    from .serve import ServeConfig, serve_forever
-
-    if args.workers < 1:
-        return _usage_error(f"--workers must be >= 1 (got {args.workers})")
-    return serve_forever(ServeConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        cache_dir=args.cache_dir, remote_cache=args.remote_cache,
-        rate=args.rate, burst=args.burst))
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit a suite batch to a running service; stream results back."""
-    from .serve import Backpressure, ServeClient, ServeError
-    from .serve.client import remote_run_suite, suite_cells
-
-    client = ServeClient(args.remote, tenant=args.tenant,
-                         timeout=args.timeout)
-    try:
-        if args.no_wait:
-            from .workloads import benchmark_programs
-
-            from .fastsim.backend import resolve_backend
-
-            grid = suite_cells(benchmark_programs(args.scale,
-                                                  seed=args.seed),
-                               DEFAULT_HEURISTICS, None, args.max_steps,
-                               backend=resolve_backend(args.backend))
-            job = client.submit_cells(
-                [(key, payload) for _, _, key, _, payload in grid])
-            print(f"submitted {job['job_id']} ({job['n_cells']} cells, "
-                  f"{job['n_cache_hits']} cached, "
-                  f"{job['n_deduped']} deduped) as tenant {args.tenant!r}")
-            print(f"poll with: python -m repro jobs --remote {args.remote}")
-            return 0
-        runs = remote_run_suite(
-            client, scale=args.scale, seed=args.seed,
-            max_steps=args.max_steps, backend=args.backend,
-            progress=lambda msg: print(msg, file=sys.stderr))
-    except (Backpressure, ServeError, OSError) as exc:
-        print(f"submit failed: {exc}", file=sys.stderr)
-        return 2
-    print(format_table1(runs))
-    print()
-    print(format_improvements(runs))
-    if args.json:
-        import json
-
-        from .eval import suite_to_dict
-
-        Path(args.json).write_text(
-            json.dumps(suite_to_dict(runs), indent=2, sort_keys=True) + "\n")
-        print(f"json results written to {args.json}", file=sys.stderr)
-    return 0
-
-
-def cmd_jobs(args: argparse.Namespace) -> int:
-    """List a running service's jobs and show its stats snapshot."""
-    from .serve import ServeClient, ServeError
-
-    client = ServeClient(args.remote, tenant=args.tenant or "default")
-    try:
-        jobs = client.jobs(all_tenants=args.tenant is None)
-        stats = client.stats()
-    except (ServeError, OSError) as exc:
-        print(f"cannot reach {args.remote}: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-
-        print(json.dumps({"jobs": jobs, "stats": stats}, indent=2,
-                         sort_keys=True))
-        return 0
-    if not jobs:
-        print("no jobs")
-    for j in jobs:
-        print(f"{j['job_id']:<10} {j['tenant']:<12} {j['kind']:<6} "
-              f"{j['state']:<8} {j['n_done']}/{j['n_cells']} cells "
-              f"(hits={j['n_cache_hits']} deduped={j['n_deduped']})")
-    q, f = stats["queue"], stats["fleet"]
-    print(f"queue: depth={q['depth']} in-flight={q['in_flight']} | "
-          f"fleet: {f['alive']}/{f['workers']} workers alive, "
-          f"utilization={f['utilization']:.0%} | "
-          f"cache: {stats['cache']['entries']} entries")
     return 0
 
 
@@ -362,6 +261,16 @@ def _usage_error(message: str) -> int:
     """Print a CLI usage error to stderr; returns the exit code (2)."""
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _check_environment(args: argparse.Namespace) -> None:
+    """Raise ``ValueError`` when ``$REPRO_BACKEND`` (unless ``--backend``
+    overrides it) or ``$REPRO_CACHE_MAX_MB`` holds an unusable value."""
+    from .engine.cache import env_max_bytes
+    from .fastsim.backend import resolve_backend
+
+    resolve_backend(getattr(args, "backend", None))
+    env_max_bytes()
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
@@ -666,12 +575,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--trace", metavar="FILE",
                        help="write a JSONL span trace of this run to FILE "
                             "(see docs/OBSERVABILITY.md)")
-        p.add_argument("--remote", metavar="URL",
-                       help="route execution through a running "
-                            "'repro serve' instance (see docs/SERVICE.md)")
-        p.add_argument("--tenant", default="default", metavar="NAME",
-                       help="tenant namespace on the remote service "
-                            "(default 'default')")
         p.add_argument("--backend", default=None,
                        choices=["reference", "fast"],
                        help="execution backend: 'fast' uses the "
@@ -701,74 +604,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("cache", help="inspect or clear the artifact cache")
     p.add_argument("action", choices=["stats", "clear"],
-                   help="stats: print cache size/contents (with "
-                        "per-namespace breakdown); clear: wipe it")
+                   help="stats: print cache root, entries and size; "
+                        "clear: wipe it")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="artifact cache directory (default .repro-cache/ "
                         "or $REPRO_CACHE_DIR)")
-    p.add_argument("--namespace", metavar="NAME",
-                   help="clear only this tenant namespace (clear only; "
-                        "default: every namespace)")
     p.add_argument("--json", action="store_true",
                    help="print stats as JSON (stats only)")
     p.set_defaults(func=cmd_cache)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the distributed evaluation service (docs/SERVICE.md)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=8732,
-                   help="bind port (default 8732; 0 = ephemeral)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="worker threads executing cells (default 2)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="artifact store root (default .repro-cache/ "
-                        "or $REPRO_CACHE_DIR)")
-    p.add_argument("--remote-cache", metavar="URL",
-                   help="upstream serve instance used as a shared "
-                        "second-tier cache")
-    p.add_argument("--rate", type=float, default=10.0, metavar="R",
-                   help="per-tenant submissions/second (default 10)")
-    p.add_argument("--burst", type=int, default=20, metavar="N",
-                   help="per-tenant burst capacity (default 20)")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit a suite batch to a running service")
-    p.add_argument("--remote", required=True, metavar="URL",
-                   help="base URL of the serve instance")
-    p.add_argument("--tenant", default="default", metavar="NAME",
-                   help="tenant namespace (default 'default')")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="workload scale factor (default 1.0)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed for the synthetic workload inputs")
-    p.add_argument("--max-steps", type=int, default=50_000_000,
-                   help="per-cell functional step budget")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="HTTP timeout per request (default 600s)")
-    p.add_argument("--no-wait", action="store_true",
-                   help="submit and print the job id instead of waiting "
-                        "for results")
-    p.add_argument("--json", metavar="FILE",
-                   help="also write machine-readable results to FILE")
-    p.add_argument("--backend", default=None,
-                   choices=["reference", "fast"],
-                   help="execution backend for the submitted cells "
-                        "(default: $REPRO_BACKEND or 'reference')")
-    p.set_defaults(func=cmd_submit)
-
-    p = sub.add_parser(
-        "jobs", help="list a running service's jobs and stats")
-    p.add_argument("--remote", required=True, metavar="URL",
-                   help="base URL of the serve instance")
-    p.add_argument("--tenant", default=None, metavar="NAME",
-                   help="restrict to one tenant (default: all)")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw jobs + stats JSON")
-    p.set_defaults(func=cmd_jobs)
 
     p = sub.add_parser(
         "sweep", help="run a design-space sweep, one JSON record per cell")
@@ -887,11 +730,6 @@ def main(argv: list[str] | None = None) -> int:
                         "or $REPRO_CACHE_DIR)")
     p.add_argument("--trace", metavar="FILE",
                    help="write a JSONL span trace of this run to FILE")
-    p.add_argument("--remote", metavar="URL",
-                   help="execute fuzz cells on a running 'repro serve' "
-                        "instance")
-    p.add_argument("--tenant", default="default", metavar="NAME",
-                   help="tenant namespace on the remote service")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
@@ -972,6 +810,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_run)
 
     args = ap.parse_args(argv)
+    try:
+        _check_environment(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     try:
         return args.func(args)
     except BrokenPipeError:

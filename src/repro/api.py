@@ -5,7 +5,7 @@ implementations (``eval.runner.run_benchmark_impl``,
 ``engine.suite.run_suite``, ``engine.sweep.run_sweep_impl``,
 ``qa.campaign.run_campaign_impl``, ``tune.run_tune``) and bundles every
 *execution* knob — worker count, artifact cache, execution backend,
-observability sinks, remote routing — into one frozen
+observability sinks — into one frozen
 :class:`RunOptions` value held once per session.  Every experiment
 method (``run_benchmark`` / ``run_suite`` / ``sweep`` / ``fuzz`` /
 ``tune``) resolves its knobs through it instead of re-declaring the same
@@ -29,12 +29,6 @@ cache=True)`` maps onto the options value, byte-identically), and the
 CLI builds its per-invocation options through one shared
 :func:`options_from_args` helper so ``--jobs`` / ``--no-cache`` /
 ``--backend`` / ``--trace`` behave identically across every subcommand.
-
-A session can also point at a running evaluation service
-(``repro serve``) instead of the local pool — ``RunOptions(remote="http://
-host:8732", tenant="alice")`` routes ``run_suite`` / ``sweep`` /
-``fuzz`` / ``tune`` through :mod:`repro.serve` with byte-identical
-results.
 
 Entering the session installs the JSONL tracer (when ``trace`` is set)
 and enables the metrics registry (when ``metrics=True``); exiting
@@ -71,8 +65,7 @@ class RunOptions:
     instance); ``cache_dir`` names the directory used when ``cache`` is
     True (None = ``.repro-cache/`` or ``$REPRO_CACHE_DIR``).  ``backend``
     is the execution backend (``"reference"``/``"fast"``; None defers to
-    ``$REPRO_BACKEND``).  ``remote``/``tenant`` route execution through a
-    running ``repro serve`` instance.
+    ``$REPRO_BACKEND``).
     """
 
     jobs: int = 1
@@ -81,8 +74,6 @@ class RunOptions:
     backend: Optional[str] = None
     trace: Optional[Union[str, Path]] = None
     metrics: bool = False
-    remote: Optional[str] = None
-    tenant: str = "default"
     max_steps: int = 50_000_000
     strict: bool = False
     timeout: Optional[float] = None
@@ -111,9 +102,9 @@ def options_from_args(args) -> RunOptions:
     """Build :class:`RunOptions` from a CLI argparse namespace.
 
     The one shared translation of the engine flags (``--jobs``,
-    ``--no-cache``, ``--cache-dir``, ``--backend``, ``--trace``,
-    ``--remote``, ``--tenant``) every subcommand routes through, so the
-    flags behave identically everywhere.  Flags a subcommand does not
+    ``--no-cache``, ``--cache-dir``, ``--backend``, ``--trace``) every
+    subcommand routes through, so the flags behave identically
+    everywhere.  Flags a subcommand does not
     declare fall back to the option defaults (with the CLI-wide default
     of caching *on* unless ``--no-cache``).
     """
@@ -124,8 +115,6 @@ def options_from_args(args) -> RunOptions:
         backend=getattr(args, "backend", None),
         trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics", False),
-        remote=getattr(args, "remote", None),
-        tenant=getattr(args, "tenant", "default"),
         max_steps=getattr(args, "max_steps", RunOptions.max_steps),
         strict=getattr(args, "strict", False),
         timeout=getattr(args, "timeout", None),
@@ -156,8 +145,6 @@ class Session:
                  timeout: Optional[float] = _UNSET,
                  trace_path: Optional[Union[str, Path]] = _UNSET,
                  metrics: bool = _UNSET,
-                 remote: Optional[str] = _UNSET,
-                 tenant: str = _UNSET,
                  backend: Optional[str] = _UNSET,
                  options: Optional[RunOptions] = None):
         self.heur = heur
@@ -165,8 +152,7 @@ class Session:
         opts = options if options is not None else RunOptions()
         legacy = {"cache": cache, "jobs": jobs, "max_steps": max_steps,
                   "strict": strict, "timeout": timeout, "trace": trace_path,
-                  "metrics": metrics, "remote": remote, "tenant": tenant,
-                  "backend": backend}
+                  "metrics": metrics, "backend": backend}
         overrides = {k: v for k, v in legacy.items() if v is not _UNSET}
         if overrides:
             opts = dc_replace(opts, **overrides)
@@ -180,7 +166,6 @@ class Session:
         # across the session's experiments.
         self._cache = opts.resolve_cache()
         self._tracer: Optional[_trace.Tracer] = None
-        self._client = None
 
     # -- option plumbing ---------------------------------------------------
 
@@ -204,17 +189,6 @@ class Session:
                 and opts.cache_dir == self.options.cache_dir:
             return self._cache
         return opts.resolve_cache()
-
-    def _client_of(self, opts: RunOptions):
-        """*opts*' :class:`~repro.serve.ServeClient` (None when local)."""
-        if opts.remote is None:
-            return None
-        if opts.remote == self.options.remote \
-                and opts.tenant == self.options.tenant:
-            return self.client
-        from .serve import ServeClient
-
-        return ServeClient(opts.remote, tenant=opts.tenant)
 
     # -- legacy attribute surface (reads resolve through the options) ------
 
@@ -254,31 +228,10 @@ class Session:
         return self.options.metrics
 
     @property
-    def remote(self) -> Optional[str]:
-        """Base URL of the evaluation service (``options.remote``)."""
-        return self.options.remote
-
-    @property
-    def tenant(self) -> str:
-        """Tenant namespace on the remote service (``options.tenant``)."""
-        return self.options.tenant
-
-    @property
     def backend(self) -> str:
         """Execution backend of every experiment this session runs:
         "reference" or "fast" (:mod:`repro.fastsim`)."""
         return self.options.backend
-
-    @property
-    def client(self):
-        """The session's :class:`~repro.serve.ServeClient` (remote only)."""
-        if self.remote is None:
-            return None
-        if self._client is None:
-            from .serve import ServeClient
-
-            self._client = ServeClient(self.remote, tenant=self.tenant)
-        return self._client
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -332,24 +285,8 @@ class Session:
                   max_steps: Optional[int] = None,
                   strict: Optional[bool] = None,
                   options: Optional[RunOptions] = None):
-        """Run the full suite through the session's cache and pool.
-
-        With ``remote=`` set (on the session or the per-call options),
-        the suite routes through the evaluation service instead
-        (byte-identical results; see
-        :func:`repro.serve.client.remote_run_suite`).
-        """
+        """Run the full suite through the session's cache and pool."""
         opts = self._resolve(options, max_steps=max_steps, strict=strict)
-        if opts.remote is not None:
-            from .serve.client import remote_run_suite
-
-            return remote_run_suite(
-                self._client_of(opts), scale=scale, heur=self.heur,
-                benchmarks=benchmarks,
-                config_overrides=self.config_overrides or None,
-                progress=progress, max_steps=opts.max_steps,
-                timeout=opts.timeout, seed=seed,
-                backend=opts.resolve_backend())
         from .engine import suite as _suite
 
         return _suite.run_suite(
@@ -363,19 +300,8 @@ class Session:
     def sweep(self, spec, *,
               progress: Optional[Callable[[str], None]] = None,
               options: Optional[RunOptions] = None):
-        """Evaluate a :class:`~repro.engine.sweep.SweepSpec` grid.
-
-        With ``remote=`` set, every point's suite rides the service
-        queue (overlapping points and tenants share executions).
-        """
+        """Evaluate a :class:`~repro.engine.sweep.SweepSpec` grid."""
         opts = self._resolve(options)
-        if opts.remote is not None:
-            from .serve.client import remote_run_sweep
-
-            return remote_run_sweep(self._client_of(opts), spec,
-                                    progress=progress,
-                                    timeout=opts.timeout,
-                                    backend=opts.resolve_backend())
         from .engine.sweep import run_sweep_impl
 
         return run_sweep_impl(spec, jobs=opts.jobs,
@@ -399,13 +325,7 @@ class Session:
             kw.setdefault("jobs", opts.jobs)
             kw.setdefault("cache", self._cache_of(opts))
             cfg = _campaign.CampaignConfig(**kw)
-        executor = None
-        if opts.remote is not None:
-            from .serve.client import remote_fuzz_executor
-
-            executor = remote_fuzz_executor(self._client_of(opts))
-        return _campaign.run_campaign_impl(cfg, progress=progress,
-                                           executor=executor)
+        return _campaign.run_campaign_impl(cfg, progress=progress)
 
     def tune(self, spec, *,
              progress: Optional[Callable[[str], None]] = None,
@@ -413,8 +333,7 @@ class Session:
         """Run a closed-loop heuristic search (see :mod:`repro.tune`).
 
         Candidates are evaluated as ordinary cached engine cells through
-        the session's cache/pool — or, with ``remote=`` set, submitted
-        to the evaluation service in per-round batches.  Returns a
+        the session's cache/pool.  Returns a
         :class:`~repro.tune.TuneResult`.
         """
         from .tune import run_tune
@@ -422,7 +341,6 @@ class Session:
         opts = self._resolve(options)
         return run_tune(spec, cache=self._cache_of(opts), jobs=opts.jobs,
                         backend=opts.resolve_backend(),
-                        client=self._client_of(opts),
                         timeout=opts.timeout, progress=progress)
 
     def spectre(self, prog, *, sew: Optional[int] = None,
@@ -452,8 +370,6 @@ class Session:
         return self.cache.stats() if self.cache is not None else None
 
     def __repr__(self) -> str:
-        where = (f"remote={self.remote!r}, tenant={self.tenant!r}"
-                 if self.remote is not None else f"jobs={self.jobs}")
-        return (f"Session({where}, "
+        return (f"Session(jobs={self.jobs}, "
                 f"cache={'on' if self.cache else 'off'}, "
                 f"trace={self.trace_path!r}, metrics={self.metrics})")

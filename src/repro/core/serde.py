@@ -7,10 +7,10 @@ Every serializable result type (``SimStats``, ``ExecStats``,
 payload via :func:`stamp` and validates it in ``from_dict`` via
 :func:`check`.  A payload written by a different schema generation fails
 loudly with :class:`SchemaMismatch` instead of deserializing into
-silently wrong fields — and because the engine's artifact-cache envelope
-(:data:`repro.engine.keys.SCHEMA_VERSION`) is bumped in lockstep, stale
-cached payloads are evicted as misses before they ever reach a
-``from_dict``.
+silently wrong fields.  The same constant salts every cache key
+(:mod:`repro.engine.keys`, fuzz cells, tune results) and versions the
+artifact-cache envelope (:mod:`repro.engine.cache`), so stale cached
+payloads stop matching before they ever reach a ``from_dict``.
 
 :func:`dump_fields`/:func:`load_fields` factor the flat-scalar part of
 the five formerly copy-pasted round-trip patterns.
@@ -20,15 +20,17 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-#: Version stamped into every result payload.  Bump whenever any result
-#: type's serialized shape or meaning changes (and bump
-#: ``repro.engine.keys.SCHEMA_VERSION`` with it so cached payloads roll).
+#: The project's one schema version: stamped into every result payload,
+#: folded into every cache key and carried by the cache envelope.  The
+#: rule: bump it on ANY change to a result type's serialized shape or
+#: meaning, or to code whose output the cache stores (compiler passes,
+#: simulators) — payloads, keys and cached entries then all roll at once.
 #: v2: fence counters in ExecStats/SimStats, spectre fields in the
 #: compile-result region report, SpectreFinding payloads.
 #: v3: SchemeResult/BenchmarkRun payloads carry the execution backend
-#: that produced them (repro.fastsim; engine keys v4, serve protocol v2).
+#: that produced them (repro.fastsim).
 #: v4: ``melds_applied`` in CompileResult payloads and the melded scheme
-#: in suite records (engine keys v5, serve protocol v3).
+#: in suite records.
 SCHEMA_VERSION = 4
 
 #: The key carrying the version inside every payload.

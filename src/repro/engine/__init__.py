@@ -30,8 +30,8 @@ from .cells import (
     EngineCounters, execute_cell,
 )
 from .keys import (
-    SCHEMA_VERSION, canonical, canonical_json, cell_key, digest,
-    program_digest, program_fingerprint,
+    canonical, canonical_json, cell_key, digest, program_digest,
+    program_fingerprint,
 )
 from .pool import PoolDecision, execution_mode, run_cells, run_tasks
 from .suite import coerce_cache, run_suite
@@ -41,8 +41,8 @@ __all__ = [
     "ArtifactCache", "CacheCounters", "default_cache_dir",
     "CELL_RETRIES", "COUNTERS", "SCHEME_PLAN", "CellSpec", "CellTimeout",
     "EngineCounters", "execute_cell",
-    "SCHEMA_VERSION", "canonical", "canonical_json", "cell_key", "digest",
-    "program_digest", "program_fingerprint",
+    "canonical", "canonical_json", "cell_key", "digest", "program_digest",
+    "program_fingerprint",
     "PoolDecision", "execution_mode", "run_cells", "run_tasks",
     "coerce_cache", "run_suite",
     "SweepSpec", "grid_from_dict",

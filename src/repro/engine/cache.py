@@ -5,7 +5,7 @@ digits to keep directories small)::
 
     <root>/
       ab/
-        ab3f...e1.json      {"schema": 1, "key": "ab3f...e1",
+        ab3f...e1.json      {"schema_version": 4, "key": "ab3f...e1",
                              "payload": {...}}
 
 The root defaults to ``.repro-cache/`` in the current directory and can be
@@ -13,11 +13,15 @@ redirected with the ``REPRO_CACHE_DIR`` environment variable (or the
 ``cache_dir`` CLI flags).  Writes are atomic (temp file + ``os.replace``)
 so a crashed or parallel writer can never leave a half-written entry a
 reader would trust; a corrupted or schema-mismatched entry is deleted and
-reported as a miss, never an error.
+reported as a miss, never an error.  The envelope carries
+:data:`repro.core.serde.SCHEMA_VERSION` under ``schema_version``; entries
+written before that version had one definition carried ``schema`` (1–5)
+instead, so every one of them reads as a miss.
 
 Eviction is size-capped LRU: whenever a put pushes the store above
 ``max_bytes`` (default 256 MB, override ``REPRO_CACHE_MAX_MB``), the
-oldest entries by access time are deleted until the store fits.  Reads
+oldest entries by access time are deleted until the store fits (a
+non-numeric or negative ``REPRO_CACHE_MAX_MB`` is a ``ValueError``).  Reads
 refresh an entry's timestamp, so hot cells survive.  A put does not
 rescan the store: a running byte total, seeded by one scan at the first
 put and adjusted by every write, decides when the cap is crossed, and
@@ -25,7 +29,7 @@ only then is the store rescanned (which also folds in what other
 processes wrote or deleted meanwhile) and evicted.
 
 The store is safe under concurrent multi-process mutation (the
-:mod:`repro.serve` worker fleet shares one on-disk root): every
+:mod:`repro.engine.pool` workers share one on-disk root): every
 ``ENOENT`` raced against another process's eviction or clear — during a
 read, a size scan, or the LRU sort — is treated as *already evicted* and
 becomes a miss or a skipped accounting row, never an exception.
@@ -36,22 +40,46 @@ multiple processes to hold this invariant.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from ..core.serde import SCHEMA_VERSION, VERSION_KEY
 from ..obs.metrics import REGISTRY
-from .keys import SCHEMA_VERSION
 
 #: Default eviction cap (bytes) unless ``REPRO_CACHE_MAX_MB`` is set.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: Environment variable overriding the eviction cap, in megabytes.
+ENV_MAX_MB = "REPRO_CACHE_MAX_MB"
 
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``.repro-cache`` in the CWD."""
     return Path(os.environ.get("REPRO_CACHE_DIR") or ".repro-cache")
+
+
+def env_max_bytes() -> int:
+    """The eviction cap: ``$REPRO_CACHE_MAX_MB`` megabytes if set, else
+    :data:`DEFAULT_MAX_BYTES`.
+
+    Raises ``ValueError`` naming the variable when it is not a finite,
+    non-negative number.
+    """
+    env = os.environ.get(ENV_MAX_MB)
+    if not env:
+        return DEFAULT_MAX_BYTES
+    try:
+        mb = float(env)
+    except ValueError:
+        mb = math.nan
+    if not (math.isfinite(mb) and mb >= 0):
+        raise ValueError(f"${ENV_MAX_MB}={env!r}: expected a non-negative "
+                         f"number of megabytes")
+    return int(mb * 1024 * 1024)
 
 
 @dataclass
@@ -88,11 +116,7 @@ class ArtifactCache:
     def __init__(self, root: Optional[str | Path] = None,
                  max_bytes: Optional[int] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        if max_bytes is None:
-            env = os.environ.get("REPRO_CACHE_MAX_MB")
-            max_bytes = (int(float(env) * 1024 * 1024) if env
-                         else DEFAULT_MAX_BYTES)
-        self.max_bytes = max_bytes
+        self.max_bytes = env_max_bytes() if max_bytes is None else max_bytes
         self.counters = CacheCounters()
         #: running size of the store in bytes (None until the first scan)
         self._total: Optional[int] = None
@@ -121,7 +145,7 @@ class ArtifactCache:
         try:
             entry = json.loads(path.read_text())
             if (not isinstance(entry, dict)
-                    or entry.get("schema") != SCHEMA_VERSION
+                    or entry.get(VERSION_KEY) != SCHEMA_VERSION
                     or entry.get("key") != key
                     or "payload" not in entry):
                 raise ValueError("schema/key mismatch")
@@ -148,7 +172,7 @@ class ArtifactCache:
         """Atomically store *payload* under *key*, then enforce the cap."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps({"schema": SCHEMA_VERSION, "key": key,
+        body = json.dumps({VERSION_KEY: SCHEMA_VERSION, "key": key,
                            "payload": payload})
         try:
             replaced = path.stat().st_size

@@ -6,18 +6,17 @@ return statistics.  :class:`CellSpec` is a fully picklable description of
 a cell (the program travels as printed assembly + data tables, because
 :class:`~repro.isa.program.Program` objects are not picklable).
 :func:`run_cell` is the only code that runs one: the suite (every
-``jobs`` value), ``Session.run_benchmark``, tune and the service all
-reach it, in-process or through :func:`execute_cell`, the worker-process
-entry of :mod:`repro.engine.pool` and :mod:`repro.serve`.
+``jobs`` value), ``Session.run_benchmark`` and tune all reach it,
+in-process or through :func:`execute_cell`, the worker-process entry of
+:mod:`repro.engine.pool`.
 
 Containment: a cell that raises is retried once, then reported as a
 failed :class:`SchemeResult` the tables render as ``FAIL(<reason>)``.
 When ``timeout`` is set, each attempt is additionally bounded by a
 :class:`_watchdog` timer that raises :class:`CellTimeout` inside the
-executing thread — it works in *any* thread (the service workers of
-:mod:`repro.serve` run cells on threads, where the former ``SIGALRM``
-scheme was a silent no-op), and a fired watchdog is just another
-contained failure.
+executing thread — it works in *any* thread (off the main thread the
+former ``SIGALRM`` scheme was a silent no-op), and a fired watchdog is
+just another contained failure.
 
 :data:`COUNTERS` counts every *actual* compile and simulation performed
 in this process — the engine's warm-cache acceptance test asserts these
@@ -268,8 +267,8 @@ class _watchdog:
 
     Arms a :class:`threading.Timer` that raises :class:`CellTimeout`
     inside the *executing* thread when the budget elapses.  Unlike the
-    former ``SIGALRM`` scheme this works off the main thread (service
-    workers, pool shims) and on non-POSIX hosts.  A no-op when *seconds*
+    former ``SIGALRM`` scheme this works off the main thread and on
+    non-POSIX hosts.  A no-op when *seconds*
     is falsy.
 
     Disarming takes a lock shared with the timer callback, so once

@@ -12,12 +12,15 @@ A cache key must satisfy two properties:
    they were built.
 2. **Collision resistance across code changes** — a change to the
    compiler, simulator, or result schema must not resurrect stale
-   artifacts.  :data:`SCHEMA_VERSION` is folded into every key as a salt;
-   bump it whenever the semantics of cached payloads change.
+   artifacts.  :data:`repro.core.serde.SCHEMA_VERSION`, the one schema
+   version of the project, is folded into every key as a salt (see its
+   comment for when to bump it).
 
 The full key of one evaluation cell is
-``sha256(canonical_json({schema, program, scheme, heur, config,
-max_steps, extra}))`` — see :func:`cell_key`.
+``sha256(canonical_json({schema_version, program, scheme, heur, config,
+max_steps, extra, backend}))`` — see :func:`cell_key`.  Keys written
+before the version had one definition salted a field named ``schema``
+(values 1–5), so no old key can equal a new one.
 """
 
 from __future__ import annotations
@@ -27,24 +30,10 @@ import hashlib
 import json
 from typing import Any, Optional
 
+from ..core import serde
 from ..core.heuristics import FeedbackHeuristics
 from ..isa.program import Program
 from ..sim.config import MachineConfig
-
-#: Salt folded into every cache key.  Bump on ANY change to the cached
-#: payload schema or to code whose output the cache stores (compiler
-#: passes, timing model): stale entries then simply stop matching.
-#: v2: result payloads carry a ``schema_version`` field (repro.core.serde).
-#: v3: fence/spectre counters in result payloads; spectre knobs on
-#: FeedbackHeuristics (serde v2).
-#: v4: cell keys carry the execution-backend identifier, so a result
-#: computed on one backend is never served to a request for the other
-#: (serde v3, serve protocol v2 — bumped in lockstep).
-#: v5: the melded scheme — meld knobs on FeedbackHeuristics (folded into
-#: keys via canonical()), melds_applied in CompileResult payloads
-#: (serde v4, serve protocol v3 — bumped in lockstep).
-SCHEMA_VERSION = 5
-
 
 def canonical(obj: Any) -> Any:
     """Reduce *obj* to a canonical JSON-compatible structure.
@@ -101,7 +90,7 @@ def program_digest(prog: Program) -> str:
 
 def cell_key(prog: Program, scheme: str, heur: FeedbackHeuristics,
              config: MachineConfig, max_steps: int,
-             schema_version: int = SCHEMA_VERSION,
+             schema_version: int = serde.SCHEMA_VERSION,
              extra: Optional[dict] = None,
              backend: str = "reference") -> str:
     """Cache key of one (program, scheme) evaluation cell.
@@ -116,7 +105,7 @@ def cell_key(prog: Program, scheme: str, heur: FeedbackHeuristics,
     both results side by side in one cache).
     """
     return digest({
-        "schema": schema_version,
+        serde.VERSION_KEY: schema_version,
         "program": program_fingerprint(prog),
         "scheme": scheme,
         "heur": heur,

@@ -4,7 +4,7 @@ The reference simulators (:mod:`repro.sim.functional`,
 :mod:`repro.sim.pipeline`) interpret one :class:`Instruction` object per
 dynamic step — string opcode dispatch, dict-keyed register files, one
 method call per trace entry.  That is the right shape for a readable
-model and exactly the wrong shape for sweep/fuzz/serve throughput, where
+model and exactly the wrong shape for sweep/fuzz throughput, where
 the artifact cache is cold by construction.
 
 This package adds a second, *semantically identical* execution path:

@@ -12,8 +12,8 @@ Selection is per-run: the ``backend=`` parameter on
 :class:`repro.api.Session` / ``run_suite`` / ``execute_cell``, the
 ``--backend`` CLI flag, or the ``REPRO_BACKEND`` environment variable
 (:func:`resolve_backend` arbitrates, explicit argument first).  Engine
-cache keys and the serve protocol carry the identifier, so results from
-one backend are never served to a request for the other.
+cache keys carry the identifier, so results from one backend are never
+served to a request for the other.
 
 Containment contract of :func:`simulate` (the entry point
 ``engine.cells.counted_simulate`` routes through):
@@ -115,11 +115,13 @@ def _short(exc: BaseException) -> str:
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Arbitrate the backend: explicit argument > env var > default."""
-    if backend is None:
+    from_env = backend is None
+    if from_env:
         backend = os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
     if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}: expected one of {BACKENDS}")
+        where = f" in ${ENV_BACKEND}" if from_env else ""
+        raise ValueError(f"unknown backend {backend!r}{where}: expected "
+                         f"one of {BACKENDS}")
     return backend
 
 

@@ -189,19 +189,11 @@ def _shrink_entry(entry: TriageEntry, prog: Program,
 
 def run_campaign_impl(cfg: CampaignConfig,
                       progress: Optional[Callable[[str], None]] = None,
-                      executor: Optional[Callable] = None,
                       ) -> CampaignResult:
-    """Run one differential fuzzing campaign; see the module docstring.
-
-    *executor*, when given, replaces the local process pool for the
-    cache-miss cells: ``executor(specs) -> payloads`` (same order).
-    :func:`repro.serve.client.remote_fuzz_executor` plugs a service
-    fleet in here; generation, triage, and shrinking stay local either
-    way.
-    """
+    """Run one differential fuzzing campaign; see the module docstring."""
     with obs_span("fuzz.campaign", budget=cfg.budget, seed=cfg.seed,
                   jobs=cfg.jobs) as sp:
-        result = _run_campaign_inner(cfg, progress, executor)
+        result = _run_campaign_inner(cfg, progress)
         sp.set("divergences", result.summary.divergences)
         sp.set("cell_errors", result.summary.cell_errors)
     if REGISTRY.enabled:
@@ -213,7 +205,6 @@ def run_campaign_impl(cfg: CampaignConfig,
 
 def _run_campaign_inner(cfg: CampaignConfig,
                         progress: Optional[Callable[[str], None]] = None,
-                        executor: Optional[Callable] = None,
                         ) -> CampaignResult:
     """Campaign body (split out so the span wraps it whole)."""
     strategies: tuple[FuzzStrategy, ...] = select_strategies(cfg.strategies)
@@ -234,12 +225,8 @@ def _run_campaign_inner(cfg: CampaignConfig,
         progress(f"{len(specs)} cells: {len(specs) - len(misses)} cached, "
                  f"{len(misses)} to run (jobs={cfg.jobs})")
 
-    miss_specs = [specs[i] for i in misses]
-    if executor is not None:
-        fresh = executor(miss_specs)
-    else:
-        fresh = run_tasks(_cells.execute_fuzz_cell, miss_specs,
-                          jobs=cfg.jobs)
+    fresh = run_tasks(_cells.execute_fuzz_cell,
+                      [specs[i] for i in misses], jobs=cfg.jobs)
     for i, payload in zip(misses, fresh):
         payloads[i] = payload
         if store is not None and keys[i] is not None:

@@ -20,10 +20,11 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core import serde
 from ..core.pipeline import (
     CompileResult, compile_baseline, compile_variant,
 )
-from ..engine.keys import SCHEMA_VERSION, digest
+from ..engine.keys import digest
 from ..isa.program import Program
 from ..obs.trace import span as obs_span
 from ..profilefb.profiledb import ProfileDB
@@ -73,11 +74,11 @@ def fuzz_cell_key(spec: FuzzCellSpec) -> str:
 
     Keys on the full generator configuration (not just the strategy name,
     which could be re-pointed at different knobs) plus the scheme plan and
-    the engine schema version, so compiler/simulator changes that bump
-    :data:`~repro.engine.keys.SCHEMA_VERSION` invalidate fuzz verdicts too.
+    the schema version, so compiler/simulator changes that bump
+    :data:`repro.core.serde.SCHEMA_VERSION` invalidate fuzz verdicts too.
     """
     return digest({
-        "schema": SCHEMA_VERSION,
+        serde.VERSION_KEY: serde.SCHEMA_VERSION,
         "kind": "fuzz-cell",
         "strategy": spec.strategy,
         "config": spec.resolve_strategy().config_dict(),

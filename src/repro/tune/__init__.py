@@ -3,14 +3,13 @@
 The paper fixes the Figure 6 decision algorithm's thresholds globally
 (0.95/0.65 classification cut-offs, cost-model weights) because in 1998
 every extra configuration evaluation was unaffordable.  This package
-closes the loop the content-addressed engine, the serve fleet, and the
-fastsim backend make cheap: a :class:`TuneSpec` declares a bounded
+closes the loop the content-addressed engine and the fastsim backend
+make cheap: a :class:`TuneSpec` declares a bounded
 search space over :class:`~repro.core.heuristics.FeedbackHeuristics`
 and :class:`~repro.sim.config.MachineConfig` vectors, and
 :func:`run_tune` drives a successive-halving + mutation search whose
 candidates are evaluated as *ordinary cached engine cells* — shared
-with every ``tables``/``sweep`` run, deduplicated fleet-wide, and free
-on resume.  Results are a Pareto front over IPC vs. code growth vs.
+with every ``tables``/``sweep`` run and free on resume.  Results are a Pareto front over IPC vs. code growth vs.
 compile cost plus per-workload winning vectors (always at least as good
 on IPC as the paper's defaults, which compete as candidate 0).
 

@@ -5,11 +5,8 @@ over the workload zoo with its heuristic vector (and machine overrides)
 applied — exactly the cell the suite runner would build for the same
 inputs, keyed by the same content-addressed
 :func:`~repro.engine.keys.cell_key`.  That identity is the whole point:
-tune shares the artifact cache with ``tables``/``sweep`` runs, repeated
-or resumed searches re-execute nothing, and a fleet can absorb the
-search through the ordinary serve protocol
-(:func:`repro.serve.client.remote_cell_executor`) with fleet-wide
-dedup.
+tune shares the artifact cache with ``tables``/``sweep`` runs, and
+repeated or resumed searches re-execute nothing.
 
 Objectives extracted per (candidate, workload) cell:
 
@@ -94,17 +91,14 @@ def measure(cell: SchemeResult, original_len: int) -> dict:
 
 
 def evaluate_batch(cells: list[tuple[str, str, CellSpec]], programs: dict,
-                   cache, jobs: int,
-                   executor=None) -> tuple[dict, int, int]:
-    """Execute one round's cell grid through cache, pool, or fleet.
+                   cache, jobs: int) -> tuple[dict, int, int]:
+    """Execute one round's cell grid through the cache and the pool.
 
     *cells* is the concatenated ``candidate_cells`` output of every
     candidate in the round (duplicate keys collapse — two candidates
     whose vectors compile identically share one execution).  Returns
     ``({key: SchemeResult}, hits, executed)``; ``hits`` counts
     artifact-cache hits, ``executed`` the unique cells actually run.
-    *executor* (from :func:`repro.serve.client.remote_cell_executor`)
-    replaces the local pool with one batched fleet submission.
     """
     results: dict[str, SchemeResult] = {}
     miss: dict[str, CellSpec] = {}
@@ -120,12 +114,8 @@ def evaluate_batch(cells: list[tuple[str, str, CellSpec]], programs: dict,
     REGISTRY.inc("tune.cells.hit", hits)
     REGISTRY.inc("tune.cells.miss", len(miss))
     if miss:
-        if executor is not None:
-            fresh = {k: SchemeResult.from_dict(payload)
-                     for k, payload in executor(list(miss.items())).items()}
-        else:
-            fresh = dict(zip(miss, run_cells(list(miss.values()), jobs=jobs,
-                                             programs=programs)))
+        fresh = dict(zip(miss, run_cells(list(miss.values()), jobs=jobs,
+                                         programs=programs)))
         for key, cell in fresh.items():
             results[key] = cell
             if cache is not None and cell.failure is None:

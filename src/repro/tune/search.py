@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from ..core import serde
 from ..core.heuristics import DEFAULT_HEURISTICS
-from ..engine.keys import SCHEMA_VERSION as KEYS_SCHEMA_VERSION, digest
+from ..engine.keys import digest
 from ..fastsim.backend import resolve_backend
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span as obs_span
@@ -62,11 +62,12 @@ def default_value(name: str):
 def tune_result_key(spec: TuneSpec, backend: str) -> str:
     """Result-level cache key of one search: ``(spec, backend)`` content.
 
-    Salted with the engine's key schema version so compiler or simulator
-    changes invalidate stored searches exactly like they invalidate
-    cells.
+    Salted with :data:`repro.core.serde.SCHEMA_VERSION` so compiler or
+    simulator changes invalidate stored searches exactly like they
+    invalidate cells.
     """
-    return digest({"kind": "tune-result", "schema": KEYS_SCHEMA_VERSION,
+    return digest({"kind": "tune-result",
+                   serde.VERSION_KEY: serde.SCHEMA_VERSION,
                    "spec": spec, "backend": backend})
 
 
@@ -190,7 +191,7 @@ def _initial_population(spec: TuneSpec) -> int:
 
 
 def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache, jobs,
-                    backend, executor, timeout, round_no: int,
+                    backend, timeout, round_no: int,
                     progress) -> tuple[int, int]:
     """Score *cands* at rung *frac*; returns (cache hits, executed)."""
     scale = spec.scale if frac == 1.0 else spec.scale * frac
@@ -211,7 +212,7 @@ def _evaluate_round(cands: list, frac: float, spec: TuneSpec, cache, jobs,
             grid.append((cand, cc))
             cells.extend(cc)
         results, hits, executed = evaluate_batch(
-            cells, programs, cache, jobs, executor=executor)
+            cells, programs, cache, jobs)
         best = 0.0
         for cand, cc in grid:
             per_bench = {name: measure(results[key], original_len[name])
@@ -274,17 +275,15 @@ def _pick_winners(finalists: list, spec: TuneSpec) -> dict:
 
 
 def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
-             backend: Optional[str] = None, client=None,
+             backend: Optional[str] = None,
              timeout: Optional[float] = None,
              progress: Optional[Callable[[str], None]] = None
              ) -> TuneResult:
     """Run one closed-loop search (the engine behind ``Session.tune``).
 
-    *cache*/*jobs* mirror the suite runner; *client* (a
-    :class:`~repro.serve.ServeClient`) reroutes each round's cell batch
-    through the evaluation service.  An identical ``(spec, backend)``
-    search found in the cache is returned directly — resumption without
-    executing anything.
+    *cache*/*jobs* mirror the suite runner.  An identical
+    ``(spec, backend)`` search found in the cache is returned directly —
+    resumption without executing anything.
     """
     spec.validate()
     backend = resolve_backend(backend)
@@ -297,12 +296,6 @@ def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
                 progress("identical search found in the artifact cache; "
                          "returning the stored result (0 cells)")
             return TuneResult.from_dict(stored)
-
-    executor = None
-    if client is not None:
-        from ..serve.client import remote_cell_executor
-
-        executor = remote_cell_executor(client)
 
     rng = random.Random(spec.seed)
     seen: set[str] = set()
@@ -337,7 +330,7 @@ def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
             if not wave:
                 break
             h, x = _evaluate_round(wave, frac, spec, cache, jobs, backend,
-                                   executor, timeout, round_no, progress)
+                                   timeout, round_no, progress)
             evaluations += len(wave)
             hits += h
             executed += x
@@ -370,8 +363,8 @@ def run_tune(spec: TuneSpec, cache=None, jobs: int = 1,
             if not wave:
                 break
             h, x = _evaluate_round(wave, spec.fidelities[-1], spec, cache,
-                                   jobs, backend, executor, timeout,
-                                   round_no, progress)
+                                   jobs, backend, timeout, round_no,
+                                   progress)
             evaluations += len(wave)
             hits += h
             executed += x

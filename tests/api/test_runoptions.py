@@ -23,13 +23,12 @@ def test_session_defaults_match_runoptions_defaults():
 
 def test_legacy_kwargs_map_onto_options():
     s = Session(jobs=3, max_steps=123, strict=True, metrics=True,
-                trace_path="t.jsonl", tenant="alice")
+                trace_path="t.jsonl")
     assert s.options.jobs == 3
     assert s.options.max_steps == 123
     assert s.options.strict is True
     assert s.options.metrics is True
     assert s.options.trace == "t.jsonl"
-    assert s.options.tenant == "alice"
     # legacy read surface resolves through the options
     assert (s.jobs, s.max_steps, s.strict) == (3, 123, True)
     assert s.trace_path == "t.jsonl"
@@ -195,12 +194,12 @@ def _ns(**kw):
 def test_options_from_args_full_namespace():
     opts = options_from_args(_ns(
         jobs=7, no_cache=False, cache_dir="/tmp/c", backend="fast",
-        trace="t.jsonl", metrics=True, remote="http://h:1", tenant="bob",
-        max_steps=99, strict=True, timeout=1.5))
+        trace="t.jsonl", metrics=True, max_steps=99, strict=True,
+        timeout=1.5))
     assert opts == RunOptions(
         jobs=7, cache=True, cache_dir="/tmp/c", backend="fast",
-        trace="t.jsonl", metrics=True, remote="http://h:1", tenant="bob",
-        max_steps=99, strict=True, timeout=1.5)
+        trace="t.jsonl", metrics=True, max_steps=99, strict=True,
+        timeout=1.5)
 
 
 def test_options_from_args_no_cache_flag():
@@ -213,5 +212,4 @@ def test_options_from_args_missing_flags_fall_back():
     assert opts.jobs == 1
     assert opts.cache is True   # CLI-wide default: caching on
     assert opts.backend is None
-    assert opts.tenant == "default"
     assert opts.max_steps == RunOptions.max_steps

@@ -67,12 +67,16 @@ def test_from_dict_rejects_pre_versioned_payload():
         SimStats.from_dict(payload)
 
 
-def test_engine_cache_envelope_bumped_with_serde():
-    # The artifact-cache envelope version must roll whenever the payload
-    # schema does, so stale cached payloads die as misses (see serde doc).
-    # The envelope was born at 2 when the payload schema was at 1; every
-    # payload bump since must have carried the envelope with it.
-    from repro.engine.keys import SCHEMA_VERSION as ENVELOPE_VERSION
+def test_engine_cache_envelope_bumped_with_serde(tmp_path):
+    # The artifact-cache envelope carries the payload schema version
+    # itself, so a payload bump rolls the envelope with it and stale
+    # cached payloads die as misses (see serde doc).
+    import json
 
-    assert serde.SCHEMA_VERSION == 4
-    assert ENVELOPE_VERSION >= serde.SCHEMA_VERSION + 1
+    from repro.engine.cache import ArtifactCache
+
+    cache = ArtifactCache(tmp_path)
+    cache.put("cd" * 32, {"x": 1})
+    (entry,) = tmp_path.glob("??/*.json")
+    assert json.loads(entry.read_text())[VERSION_KEY] == \
+        serde.SCHEMA_VERSION

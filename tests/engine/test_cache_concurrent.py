@@ -53,7 +53,7 @@ def test_two_processes_hammering_one_store(tmp_path, procs):
     store = ArtifactCache(tmp_path, max_bytes=4096)
     for p in store._entry_files():
         entry = json.loads(p.read_text())
-        assert set(entry) == {"schema", "key", "payload"}
+        assert set(entry) == {"schema_version", "key", "payload"}
 
 
 def test_evict_tolerates_entries_vanishing(tmp_path, monkeypatch):

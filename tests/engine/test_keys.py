@@ -7,9 +7,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.heuristics import DEFAULT_HEURISTICS
+from repro.core.serde import SCHEMA_VERSION
 from repro.engine import (
-    SCHEMA_VERSION, canonical, canonical_json, cell_key, digest,
-    program_digest,
+    canonical, canonical_json, cell_key, digest, program_digest,
 )
 from repro.isa import parse
 from repro.sim.config import r10k_config

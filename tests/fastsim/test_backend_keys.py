@@ -1,18 +1,16 @@
-"""Backend identity in cache keys and on the wire (ISSUE 8 fix).
+"""Backend identity and the schema version in cache keys.
 
-Before the execution-backend layer existed, a cell's cache key and its
-serve payload identified only (program, scheme, heuristics, config,
-budget).  A fast-backend run would therefore have *shared cache lines*
-with reference runs — a fastsim bug could poison reference results, and
-a service worker could silently execute a cell on the wrong backend.
-These tests pin the fix:
+Before the execution-backend layer existed, a cell's cache key
+identified only (program, scheme, heuristics, config, budget).  A
+fast-backend run would therefore have *shared cache lines* with
+reference runs — a fastsim bug could poison reference results.  These
+tests pin the fix:
 
 * engine cell keys carry the backend (distinct keys per backend,
   reference unchanged semantics via the default),
-* the serve protocol round-trips the backend and decodes legacy
-  payloads (no ``backend`` field) as ``"reference"``,
-* the three version numbers moved in lockstep (engine key schema 5,
-  serde payload schema 4, serve protocol 3 since the melded scheme),
+* one schema version (``repro.core.serde.SCHEMA_VERSION``) salts keys
+  and versions the cache envelope, and nothing written by an earlier
+  generation (a ``"schema"`` field, values 1–5) can match,
 * while the *payloads* under the distinct keys stay byte-identical —
   distinct keys are a safety property, not a result difference.
 """
@@ -21,13 +19,11 @@ import json
 
 import pytest
 
-from repro.core.heuristics import DEFAULT_HEURISTICS
 from repro.core import serde
-from repro.engine.cells import CellSpec
-from repro.engine.keys import SCHEMA_VERSION, cell_key
+from repro.core.heuristics import DEFAULT_HEURISTICS
+from repro.engine.cache import ArtifactCache
+from repro.engine.keys import cell_key, digest, program_fingerprint
 from repro.fastsim.backend import resolve_backend
-from repro.serve.protocol import (PROTOCOL_VERSION, cellspec_from_payload,
-                                  cellspec_to_payload)
 from repro.sim.config import r10k_config
 from repro.workloads import benchmark_programs
 
@@ -49,28 +45,46 @@ def test_cell_keys_distinct_per_backend(prog):
 
 
 def test_version_lockstep():
-    # The melded scheme (ISSUE 10) bumped all three in the same change,
-    # exactly as the backend layer (ISSUE 8) did before it; a future bump
-    # of one without the others reopens the poisoning hole.
-    assert SCHEMA_VERSION == 5      # engine cell-key/envelope schema
-    assert serde.SCHEMA_VERSION == 4  # result payload schema
-    assert PROTOCOL_VERSION == 3    # serve wire protocol
+    # core.serde's constant is the only version: payloads carry it, and
+    # cache keys and the cache envelope carry it under the same field.
+    assert serde.SCHEMA_VERSION == 4
+    assert serde.VERSION_KEY == "schema_version"
+    import repro.engine.keys as keys
+
+    assert not hasattr(keys, "SCHEMA_VERSION")
 
 
-def test_legacy_heuristics_payload_still_decodes():
-    # A pre-melding client never sent the meld knobs; the codec must
-    # decode such payloads with the defaults (meld off) instead of
-    # rejecting them — only *unknown* fields are protocol errors.
-    from repro.serve.protocol import heur_from_payload, heur_to_payload
+def test_old_generation_keys_never_match(prog):
+    # Every earlier generation salted cell keys with "schema": 1..5 —
+    # including a bare 4, which predates the melded scheme.
+    cfg = r10k_config("twobit")
+    new = cell_key(prog, "Proposed", DEFAULT_HEURISTICS, cfg, 1000)
+    fields = {"program": program_fingerprint(prog), "scheme": "Proposed",
+              "heur": DEFAULT_HEURISTICS, "config": cfg,
+              "max_steps": 1000, "extra": None, "backend": "reference"}
+    assert new == digest({serde.VERSION_KEY: serde.SCHEMA_VERSION,
+                          **fields})
+    for old in range(1, 6):
+        assert new != digest({"schema": old, **fields})
 
-    payload = heur_to_payload(DEFAULT_HEURISTICS)
-    del payload["enable_meld"]
-    del payload["meld_max_arm_ops"]
-    decoded = heur_from_payload(payload)
-    assert decoded.enable_meld is False
-    assert decoded.meld_max_arm_ops == \
-        DEFAULT_HEURISTICS.meld_max_arm_ops
-    assert decoded == DEFAULT_HEURISTICS
+
+@pytest.mark.parametrize("old", [4, 5])
+def test_old_envelope_is_a_miss(tmp_path, old):
+    cache = ArtifactCache(tmp_path)
+    key = "ab" * 32
+    payload = {"schema_version": serde.SCHEMA_VERSION, "x": 1}
+    path = tmp_path / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"schema": old, "key": key,
+                                "payload": payload}))
+    assert cache.get(key) is None
+    assert cache.counters.misses == 1 and cache.counters.hits == 0
+    assert not path.exists()  # a stale entry is dropped, not kept
+    cache.put(key, payload)
+    entry = json.loads(path.read_text())
+    assert entry[serde.VERSION_KEY] == serde.SCHEMA_VERSION
+    assert "schema" not in entry
+    assert cache.get(key) == payload
 
 
 def test_meld_knobs_change_cell_keys(prog):
@@ -84,26 +98,6 @@ def test_meld_knobs_change_cell_keys(prog):
                     replace(DEFAULT_HEURISTICS, enable_meld=True),
                     cfg, 1000)
     assert base != meld
-
-
-def test_protocol_round_trips_backend(prog):
-    spec = CellSpec(benchmark="compress", scheme="2bitBP", kind="base",
-                    predictor="twobit", program=prog.to_dict(),
-                    backend="fast")
-    payload = cellspec_to_payload(spec)
-    assert payload["backend"] == "fast"
-    assert json.loads(json.dumps(payload)) == payload
-    back = cellspec_from_payload(json.loads(json.dumps(payload)))
-    assert back.backend == "fast"
-    assert back == spec
-
-
-def test_protocol_decodes_legacy_payload_as_reference(prog):
-    spec = CellSpec(benchmark="compress", scheme="2bitBP", kind="base",
-                    predictor="twobit", program=prog.to_dict())
-    payload = cellspec_to_payload(spec)
-    del payload["backend"]  # a v1 client never sent the field
-    assert cellspec_from_payload(payload).backend == "reference"
 
 
 def test_resolve_backend_precedence(monkeypatch):

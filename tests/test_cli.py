@@ -85,15 +85,49 @@ def test_tables_cache_warm_run(tmp_path, capsys):
 
 
 def test_cache_stats_and_clear(tmp_path, capsys):
+    import json
+
     cache = str(tmp_path / "cache")
     assert main(["tables", "--scale", "0.01", "--cache-dir", cache]) == 0
     capsys.readouterr()
     assert main(["cache", "stats", "--cache-dir", cache]) == 0
     assert "entries    : 20" in capsys.readouterr().out
+    assert main(["cache", "stats", "--cache-dir", cache, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert set(stats) == {"root", "entries", "total_bytes", "max_bytes"}
+    assert stats["root"] == cache
+    assert stats["entries"] == 20 and stats["total_bytes"] > 0
     assert main(["cache", "clear", "--cache-dir", cache]) == 0
     assert "cleared 20 entries" in capsys.readouterr().out
     assert main(["cache", "stats", "--cache-dir", cache]) == 0
     assert "entries    : 0" in capsys.readouterr().out
+    assert main(["cache", "stats", "--cache-dir", cache, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["entries"], stats["total_bytes"]) == (0, 0)
+
+
+@pytest.mark.parametrize("var, value, argv", [
+    ("REPRO_CACHE_MAX_MB", "abc", ["cache", "stats"]),
+    ("REPRO_CACHE_MAX_MB", "-1", ["cache", "stats"]),
+    ("REPRO_CACHE_MAX_MB", "abc", ["tables", "--scale", "0.01"]),
+    ("REPRO_BACKEND", "bogus", ["run", "compress", "--scale", "0.01"]),
+    ("REPRO_BACKEND", "bogus", ["tables", "--scale", "0.01"]),
+])
+def test_bad_environment_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                          var, value, argv):
+    monkeypatch.setenv(var, value)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"${var}" in err and repr(value) in err
+
+
+def test_backend_flag_overrides_bad_environment(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_BACKEND", "bogus")
+    assert main(["run", "compress", "--scale", "0.01",
+                 "--backend", "reference"]) == 0
+    assert "cycles" in capsys.readouterr().out
 
 
 def test_sweep(tmp_path, capsys):

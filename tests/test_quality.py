@@ -12,7 +12,7 @@ PACKAGES = [
     "repro", "repro.isa", "repro.cfg", "repro.sim", "repro.profilefb",
     "repro.sched", "repro.transform", "repro.core", "repro.workloads",
     "repro.eval", "repro.robust", "repro.engine", "repro.qa",
-    "repro.obs", "repro.api", "repro.serve", "repro.tune",
+    "repro.obs", "repro.api", "repro.tune",
 ]
 
 

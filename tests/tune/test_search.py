@@ -1,4 +1,4 @@
-"""The closed-loop search: determinism, resume, winners, fleet batching.
+"""The closed-loop search: determinism, resume, winners, observability.
 
 Every test runs at tiny scale over a two-benchmark zoo so the whole file
 stays in tier-1 time; the full-zoo, full-scale behavior is exercised by
@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.engine import ArtifactCache
-from repro.engine.cells import COUNTERS, execute_cell
+from repro.engine.cells import COUNTERS
 from repro.obs import metrics as _metrics
 from repro.tune import (
     ParamSpec, TuneResult, TuneSpec, apply_params, format_tune_result,
@@ -186,31 +186,6 @@ def test_tune_cells_shared_with_suite_cache(tmp_path):
     _, hits, executed = evaluate_batch(cells, programs, cache, jobs=1)
     assert (hits, executed) == (len(cells), 0)
     assert COUNTERS.compiles == 0
-
-
-# -- fleet batching ---------------------------------------------------------
-
-def test_remote_client_routes_batches(monkeypatch):
-    """With a client, each round's grid goes through one batched
-    executor call instead of the local pool."""
-    import repro.serve.client as serve_client
-
-    batches = []
-
-    def fake_remote_cell_executor(client):
-        def _execute(cells):
-            batches.append(len(cells))
-            return {key: execute_cell(spec) for key, spec in cells}
-
-        return _execute
-
-    monkeypatch.setattr(serve_client, "remote_cell_executor",
-                        fake_remote_cell_executor)
-    result = run_tune(SPEC, cache=None, jobs=1, client=object())
-    assert batches, "executor never invoked"
-    assert sum(batches) == result.cells_executed
-    local = run_tune(SPEC, cache=None, jobs=1)
-    assert result.to_dict() == local.to_dict()
 
 
 # -- observability ----------------------------------------------------------

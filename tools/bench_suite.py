@@ -29,13 +29,7 @@ A/A noise gate) plus the ``safe-speculative`` scheme's IPC delta, code
 growth, and fence counts vs plain ``Proposed``.  Written to
 ``BENCH_spectre.json``.
 
-A sixth phase measures the **evaluation service** (``repro.serve``):
-cold fan-out through an in-process server, warm replay from the tenant's
-cache namespace (must do zero compiles/simulations), and two tenants
-submitting an identical grid concurrently (each unique cell must execute
-exactly once fleet-wide).  Written to ``BENCH_serve.json``.
-
-A seventh phase measures the **fast execution backend**
+A sixth phase measures the **fast execution backend**
 (``repro.fastsim``): native-kernel functional execution and the
 decode-once + batched-event cell path vs the reference interpreters
 (min-of-9 with the same A/A noise gate; payloads must stay
@@ -43,20 +37,20 @@ byte-identical), plus a cold end-to-end suite run per backend.  Written
 to ``BENCH_fastsim.json``; the headline gate is a >= 10x functional
 speedup.
 
-A ninth phase measures the **ingest front end and the melded scheme**
-(``repro.ingest``): wall-clock of parsing + lowering + verifying the
-committed fixture corpus (min-of-9 with the A/A noise gate), then, for
-every imported source workload, the ``melded`` scheme's IPC vs the
-guarded ``Proposed`` baseline with the meld count — at least one
-imported workload must actually meld.  Written to ``BENCH_ingest.json``.
-
-An eighth phase measures the **closed-loop autotuner** (``repro.tune``):
+A seventh phase measures the **closed-loop autotuner** (``repro.tune``):
 one deterministic micro-search over the paper's Figure 6 thresholds,
 gating that (a) the learned per-workload vector strictly beats the
 paper-default heuristics' IPC on at least one stock workload within 5 %
 code growth, and (b) resuming the identical search executes zero cells
 (result-level cache hit; min-of-9 warm latency with the A/A noise
 gate).  Written to ``BENCH_tune.json``.
+
+An eighth phase measures the **ingest front end and the melded scheme**
+(``repro.ingest``): wall-clock of parsing + lowering + verifying the
+committed fixture corpus (min-of-9 with the A/A noise gate), then, for
+every imported source workload, the ``melded`` scheme's IPC vs the
+guarded ``Proposed`` baseline with the meld count — at least one
+imported workload must actually meld.  Written to ``BENCH_ingest.json``.
 
 Run from the repository root::
 
@@ -321,119 +315,6 @@ def bench_spectre(scale: float, max_steps: int, repeats: int = 9,
     print(f"spectre: analysis={record['analysis_seconds']}s "
           f"A/A noise={record['noise_pct']}% safe-vs-proposed IPC "
           f"[{deltas}] -> {out}", file=sys.stderr)
-    return record
-
-
-def bench_serve(scale: float, max_steps: int, workers: int = 2,
-                out: str = "BENCH_serve.json") -> dict:
-    """Measure the evaluation service: cold fan-out, warm replay, dedup.
-
-    Runs an in-process :class:`~repro.serve.EvalServer` (ephemeral port,
-    throwaway cache root) and times three phases through the real HTTP
-    path:
-
-    * **cold**   — one tenant submits the full suite grid against an
-      empty store: every cell executes on the fleet;
-    * **warm**   — the same tenant resubmits the same grid: every cell
-      must be answered from its namespace at submission time (zero
-      compiles, zero simulations, nothing enqueued);
-    * **dedup**  — two *fresh* tenants submit an identical (new-seed)
-      grid concurrently while the fleet is held at a gate: each unique
-      cell must execute exactly once fleet-wide.
-
-    The engine counters are process-local and the fleet runs on threads
-    in this process, so "executed exactly once" is counted directly.
-    """
-    import tempfile as _tempfile
-    import threading
-
-    from repro.core.heuristics import DEFAULT_HEURISTICS
-    from repro.serve import EvalServer, ServeClient, ServeConfig
-    from repro.serve import worker as _worker
-    from repro.serve.client import suite_cells
-    from repro.workloads import benchmark_programs
-
-    def _grid(seed: int) -> list:
-        programs = benchmark_programs(scale, seed=seed)
-        return [(key, payload) for _, _, key, _, payload in
-                suite_cells(programs, DEFAULT_HEURISTICS, None, max_steps)]
-
-    with _tempfile.TemporaryDirectory(prefix="bench-serve-") as d:
-        config = ServeConfig(port=0, workers=workers, cache_dir=d,
-                            rate=10_000.0, burst=10_000)
-        with EvalServer(config) as server:
-            alice = ServeClient(server.url, tenant="alice", timeout=3600.0)
-
-            grid = _grid(seed=101)
-            COUNTERS.reset()
-            t0 = time.perf_counter()
-            alice.run_cells(grid)
-            cold = {"seconds": round(time.perf_counter() - t0, 4),
-                    "cells": len(grid), "compiles": COUNTERS.compiles,
-                    "simulates": COUNTERS.simulates}
-
-            COUNTERS.reset()
-            t0 = time.perf_counter()
-            job = alice.submit_cells(grid)
-            alice.results(job["job_id"])
-            warm = {"seconds": round(time.perf_counter() - t0, 4),
-                    "cells": len(grid), "compiles": COUNTERS.compiles,
-                    "simulates": COUNTERS.simulates,
-                    "cache_hits": job["n_cache_hits"]}
-
-            # Two-tenant dedup on a fresh grid: hold the fleet until both
-            # submissions are in, so the overlap is structural, not raced.
-            gate = threading.Event()
-            real_execute = _worker.execute_payload
-            _worker.execute_payload = \
-                lambda kind, spec: (gate.wait(3600.0),
-                                    real_execute(kind, spec))[1]
-            try:
-                grid2 = _grid(seed=202)
-                t1 = ServeClient(server.url, tenant="t1", timeout=3600.0)
-                t2 = ServeClient(server.url, tenant="t2", timeout=3600.0)
-                COUNTERS.reset()
-                t0 = time.perf_counter()
-                job1 = t1.submit_cells(grid2)
-                job2 = t2.submit_cells(grid2)
-                gate.set()
-                t1.results(job1["job_id"])
-                t2.results(job2["job_id"])
-                dedup = {"seconds": round(time.perf_counter() - t0, 4),
-                         "cells_submitted": 2 * len(grid2),
-                         "unique_cells": len(grid2),
-                         "deduped": job2["n_deduped"],
-                         "compiles": COUNTERS.compiles,
-                         "simulates": COUNTERS.simulates}
-            finally:
-                _worker.execute_payload = real_execute
-
-            fleet_stats = server.fleet.stats()
-
-    record = {
-        "bench": "serve",
-        "scale": scale,
-        "workers": workers,
-        "max_steps": max_steps,
-        "phases": {"cold": cold, "warm": warm, "dedup": dedup},
-        "fleet": {"cells_executed": fleet_stats["cells_executed"],
-                  "utilization": fleet_stats["utilization"]},
-        "speedup_warm_over_cold": round(
-            cold["seconds"] / warm["seconds"], 2)
-        if warm["seconds"] else None,
-        "gate_warm_zero_work": (warm["compiles"] == 0
-                                and warm["simulates"] == 0
-                                and warm["cache_hits"] == warm["cells"]),
-        "gate_dedup_exactly_once": (
-            dedup["simulates"] == dedup["unique_cells"]
-            and dedup["deduped"] == dedup["unique_cells"]),
-    }
-    Path(out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"serve: cold={cold['seconds']}s warm={warm['seconds']}s "
-          f"dedup={dedup['seconds']}s "
-          f"(warm-zero-work={record['gate_warm_zero_work']}, "
-          f"dedup-once={record['gate_dedup_exactly_once']}) -> {out}",
-          file=sys.stderr)
     return record
 
 
@@ -789,11 +670,6 @@ def main(argv: list[str] | None = None) -> int:
                          "(default BENCH_spectre.json)")
     ap.add_argument("--skip-spectre", action="store_true",
                     help="skip the speculative-safety phase")
-    ap.add_argument("--serve-out", default="BENCH_serve.json",
-                    help="evaluation-service output path "
-                         "(default BENCH_serve.json)")
-    ap.add_argument("--skip-serve", action="store_true",
-                    help="skip the evaluation-service phase")
     ap.add_argument("--fastsim-out", default="BENCH_fastsim.json",
                     help="fast-backend output path "
                          "(default BENCH_fastsim.json)")
@@ -867,19 +743,6 @@ def main(argv: list[str] | None = None) -> int:
             rc = 1
         if not spec["gate_noise_lt_5pct"]:
             print("WARNING: spectre analysis A/A noise exceeded 5%",
-                  file=sys.stderr)
-            rc = 1
-    if not args.skip_serve:
-        print(f"serve (scale={args.scale}, workers={args.jobs}) ...",
-              file=sys.stderr)
-        srv = bench_serve(args.scale, args.max_steps, workers=args.jobs,
-                          out=args.serve_out)
-        if not srv["gate_warm_zero_work"]:
-            print("WARNING: serve warm replay performed work",
-                  file=sys.stderr)
-            rc = 1
-        if not srv["gate_dedup_exactly_once"]:
-            print("WARNING: serve dedup executed cells more than once",
                   file=sys.stderr)
             rc = 1
     if not args.skip_fastsim:
